@@ -31,7 +31,7 @@ from repro.core.callbacks import RemoteCallbackService
 from repro.core.likelihood import CommitLikelihoodModel
 from repro.core.states import FINISH_TX, TxInfo, TxState
 from repro.mdcc.coordinator import TransactionHandle, TransactionManager
-from repro.sim import Environment, Event, WheelTimer
+from repro.sim import Environment, Event, Timer
 from repro.storage.option import Decision
 from repro.storage.record import WriteOp
 
@@ -261,10 +261,10 @@ class PlanetTransaction:
         self.committed: Optional[bool] = None
         self._factors: Dict[str, float] = {}
         self._finished = False
-        #: Wheel timer guarding the client deadline; cancelled once the
+        #: Timer guarding the client deadline; cancelled once the
         #: transaction has both finished and fired its user stage, so a
         #: fast commit never leaves a dead timeout on the kernel.
-        self._deadline_timer: Optional[WheelTimer] = None
+        self._deadline_timer: Optional[Timer] = None
 
     # -- public accounting ------------------------------------------------------
 
@@ -323,7 +323,7 @@ class PlanetTransaction:
             self._deadline_timer = None
 
     def _on_deadline(self) -> None:
-        """Wheel callback: the client deadline passed."""
+        """Timer callback: the client deadline passed."""
         self._deadline_timer = None
         if self._finished and self.returned:
             return

@@ -14,9 +14,9 @@ from repro.core import (
     PlanetSession,
     StatisticsService,
 )
-from repro.harness.metrics import MetricsCollector, TxRecord
 from repro.mdcc import Cluster
 from repro.net import Topology, ec2_five_dc, uniform_topology
+from repro.obs.txmetrics import MetricsCollector, TxRecord
 from repro.sim import Environment, RandomStreams
 from repro.storage.record import WriteOp
 from repro.workload import (
@@ -135,9 +135,6 @@ class ExperimentConfig:
     load_engine: str = "per-client"
     #: Arrivals drawn and scheduled per batch by the aggregate engines.
     load_batch_size: int = 1024
-    #: Schedule aggregate batches on an array-backed kernel timer lane
-    #: instead of per-arrival heap events.
-    load_timer_lane: bool = True
     #: Simulated user population for client attribution in the
     #: aggregate engines (0 = untracked).
     load_population: int = 0
@@ -496,7 +493,6 @@ class Experiment:
                                  read_fraction=config.read_fraction,
                                  mode=mode,
                                  batch_size=config.load_batch_size,
-                                 use_timer_lane=config.load_timer_lane,
                                  population=config.load_population)
         raise ValueError(f"unknown load engine {config.load_engine!r}")
 

@@ -134,11 +134,11 @@ class TransactionManager:
         self.cluster = cluster_view
         self.mode = mode
         #: Deadline for the Paxos rounds this TM starts (classic and
-        #: fast).  Rounds arm it on the cancelable timer wheel and a
-        #: decided round cancels it in O(1) — the common case schedules
-        #: no heap event, and the transaction-level deadline in
+        #: fast).  Rounds arm it on the cancelable timer queue and a
+        #: decided round cancels it — the common case schedules no heap
+        #: event, and the transaction-level deadline in
         #: :class:`repro.core.transaction.PlanetTx` rides the same
-        #: wheel.
+        #: queue.
         self.round_timeout_ms = round_timeout_ms
         self.endpoint = RpcEndpoint(env, transport, address, datacenter)
         self.endpoint.on("proposal_ack", self._on_proposal_ack)

@@ -13,7 +13,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.net.transport import Message, Transport
-from repro.sim import Environment, Event, WheelTimer
+from repro.sim import Environment, Event, Timer
 
 
 class RpcError(RuntimeError):
@@ -66,10 +66,10 @@ class RpcEndpoint:
         self.service_overrides = dict(service_overrides or {})
         self._handlers: Dict[str, Callable[[Any, str], Any]] = {}
         self._pending: Dict[int, Event] = {}
-        #: Wheel timers guarding in-flight calls, keyed by msg_id; the
+        #: Timers guarding in-flight calls, keyed by msg_id; the
         #: reply path cancels them, so a call that gets its response
         #: before the deadline never touches the event heap at all.
-        self._timers: Dict[int, WheelTimer] = {}
+        self._timers: Dict[int, Timer] = {}
         self._queue: Deque[Message] = deque()
         self._serving = False
         #: High-water mark of the service queue (observability).
@@ -114,10 +114,10 @@ class RpcEndpoint:
         is the caller's span context; it rides on the message so the
         receiver can stitch its spans under the caller's trace.
 
-        Deadlines are armed on the kernel's cancelable timer wheel:
-        the common case (reply before deadline) cancels the timer in
-        O(1) and never schedules a heap event or spawns an expiry
-        process.  The ``rpc_timeout`` perf bench pins that.
+        Deadlines are armed on the kernel's cancelable timer queue:
+        the common case (reply before deadline) cancels the timer and
+        never schedules a heap event or spawns an expiry process.  The
+        ``rpc_timeout`` perf bench pins that.
         """
         message = Message(src=self.address, dst=dst, kind=kind,
                           payload=payload,
@@ -142,7 +142,7 @@ class RpcEndpoint:
     # -- internals ------------------------------------------------------------
 
     def _expire(self, msg_id: int, timeout_ms: float) -> None:
-        """Wheel callback: the deadline passed with no reply."""
+        """Timer callback: the deadline passed with no reply."""
         self._timers.pop(msg_id, None)
         event = self._pending.pop(msg_id, None)
         if event is not None and not event.triggered:

@@ -96,8 +96,8 @@ class FastRound:
         for replica in self.replicas:
             call = endpoint.call(replica, "fast2a", fast2a, span=span_ctx)
             call.callbacks.append(self._on_vote)
-        # Deadline on the cancelable wheel; a decided round cancels it
-        # (see PaxosRound — same idiom, same reason).
+        # Deadline on the cancelable timer queue; a decided round
+        # cancels it (see PaxosRound — same idiom, same reason).
         self._timer = (env.arm_timer(env.now + timeout_ms,
                                      lambda: self._expire(timeout_ms))
                        if timeout_ms is not None else None)
@@ -163,7 +163,7 @@ class FastRound:
         return "conflict"
 
     def _expire(self, timeout_ms: float) -> None:
-        """Wheel callback: the fast round hit its deadline undecided."""
+        """Timer callback: the fast round hit its deadline undecided."""
         if not self.result.triggered:
             self._finish(FastRoundOutcome(
                 "fallback", "timeout",

@@ -70,7 +70,7 @@ class PaxosRound:
             call = endpoint.call(replica, "phase2a", phase2a,
                                  span=span_ctx)
             call.callbacks.append(self._on_vote)
-        # The round deadline lives on the cancelable timer wheel: a
+        # The round deadline lives on the cancelable timer queue: a
         # decided round cancels it, so the common case never schedules
         # a heap event for a timeout that will not fire.
         self._timer = (env.arm_timer(env.now + timeout_ms,
@@ -112,7 +112,7 @@ class PaxosRound:
             self.result.succeed(False)
 
     def _expire(self, timeout_ms: float) -> None:
-        """Wheel callback: the round deadline passed undecided."""
+        """Timer callback: the round deadline passed undecided."""
         if not self.result.triggered:
             self._trace_outcome(False, "timeout")
             self.result.fail(PaxosRoundTimeout(

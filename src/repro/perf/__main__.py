@@ -47,6 +47,10 @@ UNOPTIMIZED_REFERENCE = {
 }
 
 
+#: Most a metrics registry may cost the kernel loop (ROADMAP aim 4).
+OBS_KERNEL_OVERHEAD_BUDGET_PCT = 10.0
+
+
 def _run_benches(names: List[str], scale: float, pool: int, repeats: int,
                  profile: bool) -> Dict[str, Dict[str, float]]:
     results: Dict[str, Dict[str, float]] = {}
@@ -155,8 +159,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         for regression in regressions:
             failures.append(regression.format())
         # Absolute gates, independent of the baseline file: whenever
-        # a real pool ran, parallel must not lose to serial; and the
-        # scale bench must stay inside its wall/RSS budgets.
+        # a real pool ran, parallel must not lose to serial; the
+        # loadgen bench must stay inside its wall/RSS budgets; and a
+        # metrics registry must not cost the kernel loop more than the
+        # ROADMAP's observability budget.
         sweep = results.get("sweep")
         if (sweep is not None and sweep.get("effective_pool", 1.0) >= 2
                 and sweep.get("speedup", 1.0) < 1.0):
@@ -164,14 +170,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"sweep: parallel lost to serial at effective pool "
                 f"{sweep['effective_pool']:.0f} "
                 f"(speedup {sweep['speedup']:.3f} < 1.0)")
-        scale_bench = results.get("scale")
-        if (scale_bench is not None
-                and scale_bench.get("within_budget", 1.0) < 1.0):
+        loadgen = results.get("loadgen")
+        if (loadgen is not None
+                and loadgen.get("within_budget", 1.0) < 1.0):
             failures.append(
-                f"scale: outside budget (wall {scale_bench['seconds']:.2f}s"
-                f" vs {scale_bench['wall_budget_s']:.0f}s, rss "
-                f"{scale_bench['peak_rss_mb']:.0f}MB vs "
-                f"{scale_bench['rss_budget_mb']:.0f}MB)")
+                f"loadgen: outside budget (wall {loadgen['seconds']:.2f}s"
+                f" vs {loadgen['wall_budget_s']:.0f}s, rss "
+                f"{loadgen['peak_rss_mb']:.0f}MB vs "
+                f"{loadgen['rss_budget_mb']:.0f}MB)")
+        obs = results.get("obs")
+        if (obs is not None and obs.get("kernel_overhead_pct", 0.0)
+                > OBS_KERNEL_OVERHEAD_BUDGET_PCT):
+            failures.append(
+                f"obs: metered kernel loop costs "
+                f"{obs['kernel_overhead_pct']:.1f}% (budget "
+                f"{OBS_KERNEL_OVERHEAD_BUDGET_PCT:.0f}%)")
         if failures:
             print(f"\nFAIL: {len(failures)} gate failure(s) vs "
                   f"{namespace.compare} (threshold "

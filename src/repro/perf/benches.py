@@ -53,15 +53,14 @@ DECISION_EVALUATIONS = 20_000
 FAST_PAXOS_TXNS = 2_000
 #: Timed-call count of the rpc_timeout micro-bench at scale 1.0.
 RPC_TIMEOUT_CALLS = 20_000
-#: Scale-bench shape: the million-client target — 10⁶ simulated users
-#: issuing 10⁵ tx/s — over this simulated window (multiplied by
-#: ``scale``), within the wall/RSS budgets below.  The rate was 10⁴
-#: until the sharded engine landed; the budget gate holds at 10⁵.
-SCALE_USERS = 1_000_000
-SCALE_RATE_TPS = 100_000.0
-SCALE_WINDOW_MS = 10_000.0
-SCALE_WALL_BUDGET_S = 30.0
-SCALE_RSS_BUDGET_MB = 1_024.0
+#: Loadgen-bench shape: the million-client target — 10⁶ simulated
+#: users issuing 10⁵ tx/s — over this simulated window (multiplied by
+#: ``scale``), within the wall/RSS budgets below.
+LOADGEN_USERS = 1_000_000
+LOADGEN_RATE_TPS = 100_000.0
+LOADGEN_WINDOW_MS = 10_000.0
+LOADGEN_WALL_BUDGET_S = 30.0
+LOADGEN_RSS_BUDGET_MB = 1_024.0
 
 
 def bench_kernel(scale: float, pool: int,
@@ -132,8 +131,9 @@ def bench_obs(scale: float, pool: int,
     ``env.metrics``/``env.spans`` left ``None`` (the default) and with
     a live :class:`repro.obs.ObsSession` installed.  The score metric
     is the uninstrumented kernel throughput, which ``--compare``
-    guards like any other bench; the overhead percentages are
-    informational (and bounded by the dedicated zero-cost test).
+    guards like any other bench; ``kernel_overhead_pct`` is gated
+    absolutely there too (the metered run is the same loop, so it must
+    stay inside the ROADMAP's 10 % budget).
     """
     from repro.obs import ObsSession
 
@@ -378,7 +378,7 @@ def bench_sweep(scale: float, pool: int,
 
 
 class _CountingIssuer:
-    """Scale-bench issuer: counts arrivals, keeps nothing per txn."""
+    """Loadgen-bench issuer: counts arrivals, keeps nothing per txn."""
 
     __slots__ = ("issued", "keys_touched")
 
@@ -391,8 +391,8 @@ class _CountingIssuer:
         self.keys_touched += len(writes)
 
 
-def _scale_shard(args: Tuple[float, int, int, float]) -> Tuple[int, int]:
-    """Pool worker: one population shard of the scale bench, its own
+def _loadgen_shard(args: Tuple[float, int, int, float]) -> Tuple[int, int]:
+    """Pool worker: one population shard of the loadgen bench, its own
     kernel on a derived seed.  Module-level so it pickles."""
     rate_tps, population, seed, window_ms = args
     env = Environment()
@@ -402,65 +402,62 @@ def _scale_shard(args: Tuple[float, int, int, float]) -> Tuple[int, int]:
     issuer = _CountingIssuer()
     load = AggregateLoad(
         env, factory, issuer, rate_tps, streams, name="scale-shard",
-        mode="vectorized", batch_size=4_096, use_timer_lane=True,
-        population=population)
+        mode="vectorized", batch_size=4_096, population=population)
     load.start(duration_ms=window_ms)
     env.run(until=window_ms)
     return issuer.issued, load.distinct_clients()
 
 
-def bench_scale(scale: float, pool: int,
-                repeats: int = 1) -> Dict[str, float]:
-    """Million-client load generation through the batched engine.
+def bench_loadgen(scale: float, pool: int,
+                  repeats: int = 1) -> Dict[str, float]:
+    """Million-client load *generation* through the batched engine.
 
     One :class:`AggregateLoad` in vectorized mode drives 10⁵ tx/s from
     a 10⁶-user population (Zipf access over a 100k-item catalogue) for
-    ``SCALE_WINDOW_MS * scale`` simulated ms — once on the kernel's
-    array-backed timer lane and once on per-arrival heap events
-    (``lane_speedup`` is the ratio).  ``within_budget`` is 1.0 when
-    the lane arm finishes under the wall-clock budget and the process
-    high-water RSS stays under the memory budget; ``--compare`` fails
-    on 0.0.  The per-client engine at this rate would be ~10⁶ heap
-    events plus one generator resume each — the number this bench
-    exists to make unnecessary.
+    ``LOADGEN_WINDOW_MS * scale`` simulated ms into a counting issuer —
+    no commit protocol runs behind it (``commit_path`` measures that).
+    ``within_budget`` is 1.0 when the run finishes under the wall-clock
+    budget and the process high-water RSS stays under the memory
+    budget; ``--compare`` fails on 0.0.  The per-client engine at this
+    rate would be ~10⁶ heap events plus one generator resume each —
+    the number this bench exists to make unnecessary.
 
-    When >= 2 CPUs are usable, a third arm runs the same workload
+    When >= 2 CPUs are usable, a second arm runs the same workload
     through the sharding layer: the population split into one shard
     per worker (same decomposition :func:`repro.harness.sharding.
     shard_configs` uses), each shard its own kernel in a pool process.
     ``shard_speedup`` is single-kernel wall over sharded wall; on a
     single-CPU host the arm is skipped (``shards`` reports 1).
     """
-    window_ms = max(1_000.0, SCALE_WINDOW_MS * scale)
+    window_ms = max(1_000.0, LOADGEN_WINDOW_MS * scale)
     observed: Dict[str, float] = {}
 
-    def run(use_lane: bool) -> float:
+    def run() -> float:
         env = Environment()
         streams = RandomStreams(seed=97)
         pattern = ZipfianAccess(100_000, s=0.99)
         factory = BuyTransactionFactory(pattern)
         issuer = _CountingIssuer()
+        # The stream name seeds the draws; renaming it would change the
+        # pinned arrival count.
         load = AggregateLoad(
-            env, factory, issuer, SCALE_RATE_TPS, streams, name="scale",
-            mode="vectorized", batch_size=4_096, use_timer_lane=use_lane,
-            population=SCALE_USERS)
+            env, factory, issuer, LOADGEN_RATE_TPS, streams, name="scale",
+            mode="vectorized", batch_size=4_096, population=LOADGEN_USERS)
         load.start(duration_ms=window_ms)
         seconds = timed(lambda: env.run(until=window_ms))
-        if use_lane:
-            observed["arrivals"] = float(issuer.issued)
-            observed["clients"] = float(load.distinct_clients())
+        observed["arrivals"] = float(issuer.issued)
+        observed["clients"] = float(load.distinct_clients())
         return seconds
 
-    lane_s = best_of(lambda: run(True), repeats)
-    heap_s = best_of(lambda: run(False), repeats)
+    single_s = best_of(run, repeats)
 
     shards = max(1, min(pool, effective_cpu_count()))
     sharded_s = 0.0
     sharded_arrivals = 0.0
     if shards >= 2:
-        populations = split_evenly(SCALE_USERS, shards)
+        populations = split_evenly(LOADGEN_USERS, shards)
         tasks = [
-            (SCALE_RATE_TPS / shards, populations[index],
+            (LOADGEN_RATE_TPS / shards, populations[index],
              derive_shard_seed(97, index, shards), window_ms)
             for index in range(shards)
         ]
@@ -469,7 +466,7 @@ def bench_scale(scale: float, pool: int,
             def sharded_run() -> float:
                 box: List[List[Tuple[int, int]]] = []
                 seconds = timed(lambda: box.append(
-                    worker_pool.map(_scale_shard, tasks)))
+                    worker_pool.map(_loadgen_shard, tasks)))
                 sharded_arrivals_now = float(
                     sum(issued for issued, _clients in box[0]))
                 observed["sharded_arrivals"] = sharded_arrivals_now
@@ -481,27 +478,25 @@ def bench_scale(scale: float, pool: int,
             worker_pool.close()
 
     rss = peak_rss_mb()
-    wall_budget = max(5.0, SCALE_WALL_BUDGET_S * scale)
-    within = 1.0 if (lane_s <= wall_budget
-                     and rss <= SCALE_RSS_BUDGET_MB) else 0.0
+    wall_budget = max(5.0, LOADGEN_WALL_BUDGET_S * scale)
+    within = 1.0 if (single_s <= wall_budget
+                     and rss <= LOADGEN_RSS_BUDGET_MB) else 0.0
     arrivals = observed["arrivals"]
     return {
-        "users": float(SCALE_USERS),
-        "rate_tps": SCALE_RATE_TPS,
+        "users": float(LOADGEN_USERS),
+        "rate_tps": LOADGEN_RATE_TPS,
         "window_ms": window_ms,
         "arrivals": arrivals,
-        "seconds": lane_s,
-        "arrivals_per_sec": arrivals / lane_s if lane_s > 0 else 0.0,
-        "heap_seconds": heap_s,
-        "lane_speedup": heap_s / lane_s if lane_s > 0 else 0.0,
+        "seconds": single_s,
+        "arrivals_per_sec": arrivals / single_s if single_s > 0 else 0.0,
         "shards": float(shards),
         "sharded_seconds": sharded_s,
         "sharded_arrivals": sharded_arrivals,
-        "shard_speedup": lane_s / sharded_s if sharded_s > 0 else 0.0,
+        "shard_speedup": single_s / sharded_s if sharded_s > 0 else 0.0,
         "distinct_clients": observed["clients"],
         "peak_rss_mb": rss,
         "wall_budget_s": wall_budget,
-        "rss_budget_mb": SCALE_RSS_BUDGET_MB,
+        "rss_budget_mb": LOADGEN_RSS_BUDGET_MB,
         "within_budget": within,
     }
 
@@ -554,11 +549,9 @@ def bench_rpc_timeout(scale: float, pool: int,
 
     A client endpoint issues echo calls across a 2-DC uniform topology
     with ``timeout_ms=1000`` — every reply lands in ~20 simulated ms,
-    so every deadline is armed and then cancelled.  Before the wheel,
-    each call scheduled a heap event at ``now + 1000`` and resumed a
-    dead ``_expire`` generator when it fired; now the reply path
-    cancels the wheel timer in O(1) and the heap never hears about the
-    deadline at all.  The bench reports timers armed/cancelled/fired
+    so every deadline is armed and then cancelled: the reply path
+    cancels the timer and the heap never hears about the deadline at
+    all.  The bench reports timers armed/cancelled/fired
     next to the heap events actually scheduled, and asserts the
     acceptance contract: zero timers fire on this path.
     """
@@ -584,12 +577,12 @@ def bench_rpc_timeout(scale: float, pool: int,
         env.process(driver(env))
         seconds = timed(env.run)
         assert replies[0] == n_calls
-        wheel = env.timer_wheel
-        assert wheel.fired_total == 0, "a reply lost to its deadline"
-        assert wheel.cancelled_total == wheel.armed_total == n_calls
-        counters["timers_armed"] = float(wheel.armed_total)
-        counters["timers_cancelled"] = float(wheel.cancelled_total)
-        counters["timers_fired"] = float(wheel.fired_total)
+        timers = env.timer_wheel
+        assert timers.fired_total == 0, "a reply lost to its deadline"
+        assert timers.cancelled_total == timers.armed_total == n_calls
+        counters["timers_armed"] = float(timers.armed_total)
+        counters["timers_cancelled"] = float(timers.cancelled_total)
+        counters["timers_fired"] = float(timers.fired_total)
         counters["heap_events"] = float(env._eid)
         return seconds
 
@@ -719,12 +712,12 @@ BENCHES: List[BenchSpec] = [
               "txns/s", "fast-ballot round hot path on the EC2 topology"),
     BenchSpec("rpc_timeout", bench_rpc_timeout, "calls_per_sec", True,
               "calls/s", "timed RPC calls, replies beating the deadline "
-              "(wheel-cancelled, zero heap timers)"),
+              "(timer-cancelled, zero heap timers)"),
     BenchSpec("mode_sweep", bench_mode_sweep, "p50_speedup", True,
               "x", "classic vs fast ballots: commit-latency comparison"),
     BenchSpec("sweep", bench_sweep, "parallel_seconds", False,
               "s", "independent-config sweep, serial vs persistent pool"),
-    BenchSpec("scale", bench_scale, "arrivals_per_sec", True,
-              "arrivals/s", "1M-user aggregate load at 100k tx/s, "
-              "lane vs heap vs sharded kernels"),
+    BenchSpec("loadgen", bench_loadgen, "arrivals_per_sec", True,
+              "arrivals/s", "1M-user load generation at 100k tx/s into "
+              "a counting issuer, single vs sharded kernels"),
 ]

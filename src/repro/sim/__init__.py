@@ -20,9 +20,8 @@ from repro.sim.kernel import (
     Process,
     SimulationError,
     Timeout,
-    TimerLane,
-    TimerWheel,
-    WheelTimer,
+    Timer,
+    TimerQueue,
 )
 from repro.sim.rng import RandomStreams
 
@@ -36,7 +35,6 @@ __all__ = [
     "RandomStreams",
     "SimulationError",
     "Timeout",
-    "TimerLane",
-    "TimerWheel",
-    "WheelTimer",
+    "Timer",
+    "TimerQueue",
 ]

@@ -20,9 +20,13 @@ choices keep them small:
 * the failure-propagation flag ``_defused`` is a slotted attribute
   initialized in ``Event.__init__`` rather than a ``getattr`` probe in
   the event loop, and
-* :meth:`Environment.run` inlines the body of :meth:`Environment.step`
+* :meth:`Environment.run` repeats the body of :meth:`Environment.step`
   with the queue and ``heappop`` bound to locals — one Python frame per
   event instead of two.
+
+The environment keeps exactly two ordered structures: the event heap
+and one :class:`TimerQueue` of cancelable deadlines.  ``run`` is the
+only loop, metered or not, bounded or not.
 
 ``python -m repro.perf`` benchmarks this loop; regressions fail CI.
 """
@@ -30,7 +34,6 @@ choices keep them small:
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right as _bisect_right
 from typing import (
     Any,
     Callable,
@@ -38,7 +41,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -334,115 +336,31 @@ class AnyOf(ConditionEvent):
         self.succeed(self._collect())
 
 
-class TimerLane:
-    """A batch of pre-sorted deadlines drained ahead of the event heap.
-
-    Homogeneous timer floods — the aggregate workload engine's arrival
-    batches, mass retry timers — do not need one heap entry (plus one
-    :class:`Timeout` object and one generator resume) per deadline.  A
-    lane holds the whole batch as a flat, already-sorted array of
-    virtual timestamps; the event loop fires ``callback(index)`` for
-    each entry when the clock reaches it, interleaved correctly with
-    ordinary heap events.
-
-    Ordering contract: a lane entry at time *t* fires after every heap
-    event scheduled strictly before *t* and before every heap event
-    scheduled strictly after *t*.  At exactly equal timestamps the
-    heap wins — a lane entry ranks behind every already-queued event
-    at its own timestamp (in particular behind the urgent stop event
-    ``run(until=t)`` plants, matching :class:`Timeout` semantics at a
-    window boundary).  Within one lane, entries fire in array order.
-
-    Lanes are registered via :meth:`Environment.add_timer_lane` and
-    remove themselves once drained.  A lane whose entries are no
-    longer wanted is :meth:`cancel`\\ led; pending entries are simply
-    never fired.  The kernel pays nothing for the feature while no
-    lane is registered (one truthiness check per processed event,
-    bounded by the kernel bench), and a registered lane survives
-    across successive :meth:`Environment.run` windows exactly like
-    queued timeouts do.
-    """
-
-    __slots__ = ("_deadlines", "_index", "_n", "_callback")
-
-    def __init__(self, deadlines: Sequence[float],
-                 callback: Callable[[int], None]):
-        # A plain list of floats: scalar reads off a numpy array box a
-        # np.float64 per access, which the drain loop would pay per
-        # entry.  ``tolist()`` converts once at C speed.
-        values: List[float] = (
-            deadlines.tolist() if hasattr(deadlines, "tolist")
-            else [float(value) for value in deadlines])
-        for earlier, later in zip(values, values[1:]):
-            if later < earlier:
-                raise ValueError("lane deadlines must be sorted")
-        self._deadlines = values
-        self._index = 0
-        self._n = len(values)
-        self._callback = callback
-
-    @property
-    def exhausted(self) -> bool:
-        """True once every entry has fired (or the lane was cancelled)."""
-        return self._index >= self._n
-
-    @property
-    def remaining(self) -> int:
-        return self._n - self._index if self._index < self._n else 0
-
-    def head(self) -> float:
-        """Deadline of the next entry, or ``inf`` when exhausted."""
-        return self._deadlines[self._index] if self._index < self._n else _INF
-
-    def cancel(self) -> None:
-        """Drop all unfired entries; the loop reaps the lane lazily."""
-        self._index = self._n
-
-    def __repr__(self) -> str:
-        return (f"<TimerLane {self.remaining}/{self._n} pending "
-                f"at {id(self):#x}>")
-
-
-#: WheelTimer lifecycle states (plain ints: compared in the fire loop).
+#: Timer lifecycle states (plain ints; pending must stay falsy — the
+#: queue's prune loop tests ``_state`` for truth).
 _TIMER_PENDING = 0
 _TIMER_FIRED = 1
 _TIMER_CANCELLED = 2
 
-_WHEEL_SLOTS = 256
-_WHEEL_MASK = _WHEEL_SLOTS - 1
-#: Ticks spanned by the three bucket levels together (256**3); beyond
-#: this a timer waits in the overflow list until the clock gets close.
-_WHEEL_SPAN = _WHEEL_SLOTS ** 3
 
+class Timer:
+    """Handle for one deadline armed on a :class:`TimerQueue`.
 
-class WheelTimer:
-    """Handle for one deadline armed on a :class:`TimerWheel`.
-
-    The handle is what makes the wheel *cancelable*: holders call
-    :meth:`cancel` when the thing they were guarding (an RPC reply, a
-    Paxos decision, a transaction outcome) arrives first, and the
-    wheel simply never runs the callback — no heap event was ever
-    scheduled and no dead generator is ever resumed.  Cancelling an
-    already-fired or already-cancelled timer is a no-op.
+    Holders call :meth:`cancel` when the thing they were guarding (an
+    RPC reply, a Paxos decision, a transaction outcome) arrives first;
+    the callback then never runs, no heap event was ever scheduled and
+    no dead generator is ever resumed.  Cancelling an already-fired or
+    already-cancelled timer is a no-op.
     """
 
-    __slots__ = ("when", "callback", "_seq", "_tick", "_state", "_wheel")
+    __slots__ = ("when", "callback", "_state", "_queue")
 
     def __init__(self, when: float, callback: Callable[[], None],
-                 seq: int, tick: int, wheel: "TimerWheel"):
+                 queue: "TimerQueue"):
         self.when = when
         self.callback = callback
-        self._seq = seq
-        self._tick = tick
         self._state = _TIMER_PENDING
-        self._wheel = wheel
-
-    def __lt__(self, other: "WheelTimer") -> bool:
-        # Total order (when, arm sequence): same-deadline timers fire
-        # in arm order, matching the heap's eid tie-break discipline.
-        if self.when != other.when:
-            return self.when < other.when
-        return self._seq < other._seq
+        self._queue = queue
 
     @property
     def active(self) -> bool:
@@ -458,291 +376,100 @@ class WheelTimer:
         return self._state == _TIMER_CANCELLED
 
     def cancel(self) -> None:
-        """Drop the timer; O(1), the wheel reaps the entry lazily."""
+        """Drop the timer; its queue entry is reaped lazily."""
         if self._state == _TIMER_PENDING:
             self._state = _TIMER_CANCELLED
-            wheel = self._wheel
-            wheel._live -= 1
-            wheel.cancelled_total += 1
+            queue = self._queue
+            queue.cancelled_total += 1
+            queue.live -= 1
+            queue._settle()
 
     def __repr__(self) -> str:
         state = ("pending", "fired", "cancelled")[self._state]
-        return f"<WheelTimer {state} when={self.when} at {id(self):#x}>"
+        return f"<Timer {state} when={self.when} at {id(self):#x}>"
 
 
-class TimerWheel:
-    """Hierarchical timer wheel for cancelable one-shot deadlines.
+class TimerQueue:
+    """Cancelable one-shot deadlines, kept beside the event heap.
 
-    :class:`TimerLane` serves *homogeneous, pre-sorted* batches; the
-    wheel serves the other timeout flood a commit protocol produces:
-    heterogeneous deadlines armed one at a time (RPC expiries, round
-    timeouts, transaction deadlines) of which the overwhelming
-    majority are cancelled before they fire.  Three levels of 256
-    buckets hold timers hashed by their deadline tick (1 tick =
-    ``granularity_ms`` of virtual time, 1 ms by default); arming and
-    cancelling are O(1) amortized, and a cancelled timer costs nothing
-    beyond its bucket slot until the cursor sweeps past it.
+    A commit protocol arms deadlines one at a time (RPC expiries,
+    round timeouts, transaction deadlines) and cancels almost all of
+    them before they fire.  They live in a flat ``heapq`` of ``(when,
+    arm sequence, timer)`` with lazy deletion: a cancelled timer stays
+    in the list until it surfaces.
 
-    Ordering contract (mirrors :class:`TimerLane`): a live timer at
-    time *t* fires after every heap event scheduled strictly before
-    *t* and before every heap event strictly after *t*; at exactly
-    equal timestamps the heap wins, then lanes, then the wheel, and a
-    ``run(until=t)`` boundary stops *before* a wheel timer at exactly
-    ``t`` (the timer survives into the next run window).  Same-tick
-    timers fire in exact ``when`` order, ties broken by arm order.
+    Invariant: the top entry is live, or the list is empty.  Whatever
+    retires a live timer (cancel, fire) restores it by popping dead
+    entries off the top, or clearing the list once nothing is live,
+    so the event loop reads the exact next deadline as ``heap[0][0]``
+    and a run never stays open for a cancelled deadline.
 
-    The wheel keeps a *stale-allowed* head (``_head`` is a lower
-    bound on the earliest live deadline, repaired lazily when the
-    event loop visits it), so cancellation never pays to re-scan
-    buckets.  While nothing is armed the event loop pays one slotted
-    attribute read per processed event — bounded by the kernel bench.
+    Ordering contract: a live timer at time *t* fires after every heap
+    event scheduled strictly before *t* and before every heap event
+    strictly after *t*.  At exactly equal timestamps the heap wins; in
+    particular a ``run(until=t)`` boundary stops *before* a timer at
+    exactly ``t``, which survives into the next run window.  Timers
+    fire in ``(when, arm order)``.
     """
 
-    __slots__ = ("granularity_ms", "_levels", "_counts", "_overflow",
-                 "_cursor", "_due", "_due_i", "_head", "_live", "_seq",
+    __slots__ = ("_heap", "_seq", "live",
                  "armed_total", "cancelled_total", "fired_total")
 
-    def __init__(self, granularity_ms: float = 1.0,
-                 start_ms: float = 0.0):
-        if granularity_ms <= 0:
-            raise ValueError(f"granularity {granularity_ms} must be > 0")
-        self.granularity_ms = float(granularity_ms)
-        self._levels: List[List[List[WheelTimer]]] = [
-            [[] for _ in range(_WHEEL_SLOTS)] for _ in range(3)]
-        #: Entries per level (cancelled included until reaped): lets
-        #: the cursor skip whole windows without touching 256 slots.
-        self._counts = [0, 0, 0]
-        self._overflow: List[WheelTimer] = []
-        self._cursor = int(start_ms / self.granularity_ms)
-        #: Sorted timers whose tick the cursor has reached, consumed
-        #: from ``_due_i``; the prefix before it is spent (fired,
-        #: cancelled, or skipped-cancelled) and never re-inspected.
-        self._due: List[WheelTimer] = []
-        self._due_i = 0
-        self._head = _INF
-        self._live = 0
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, Timer]] = []
         self._seq = 0
+        #: Number of armed timers that may still fire.
+        self.live = 0
         self.armed_total = 0
         self.cancelled_total = 0
         self.fired_total = 0
 
-    @property
-    def live(self) -> int:
-        """Number of armed timers that may still fire."""
-        return self._live
-
-    def arm(self, when: float, callback: Callable[[], None]) -> WheelTimer:
-        """Arm ``callback`` to run at virtual time ``when``; O(1)."""
-        tick = int(when / self.granularity_ms)
-        timer = WheelTimer(when, callback, self._seq, tick, self)
-        self._seq += 1
-        if tick <= self._cursor:
-            # Already inside the due window (arms from a firing
-            # callback land here).  Insert after the consumed prefix —
-            # an earlier cancelled-and-skipped entry may carry a later
-            # deadline, and bisecting the whole list could then bury
-            # the new timer behind the consume pointer.
-            due = self._due
-            due.insert(_bisect_right(due, timer, self._due_i), timer)
-        else:
-            self._place(timer, self._cursor)
-        live = self._live
-        self._live = live + 1
+    def arm(self, when: float, callback: Callable[[], None]) -> Timer:
+        """Arm ``callback`` to run at virtual time ``when``."""
+        timer = Timer(when, callback, self)
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._heap, (when, seq, timer))
+        self.live += 1
         self.armed_total += 1
-        if not live or when < self._head:
-            # First live timer after a fully-cancelled era: the stale
-            # head may lie in the past, so reset it, never min() it.
-            self._head = when
         return timer
 
-    def next_deadline(self) -> float:
-        """Exact earliest live deadline (``inf`` when none).
+    def _settle(self) -> None:
+        """Restore the invariant after a live timer was retired."""
+        heap = self._heap
+        if not self.live:
+            # In place: the running event loop holds this very list.
+            del heap[:]
+        else:
+            while heap[0][2]._state:
+                _heappop(heap)
 
-        Repairs the stale head, reaping spent due entries en route;
-        used by ``peek``/``step`` and at run-window boundaries, while
-        the inlined fast loops consult the cheap stale bound.
-        """
-        if not self._live:
-            return _INF
-        due = self._due
-        i = self._due_i
-        n = len(due)
-        while i < n:
-            timer = due[i]
-            if timer._state == _TIMER_PENDING:
-                self._due_i = i
-                self._head = timer.when
-                return timer.when
-            i += 1
-        self._due_i = n
-        self._refill()
-        return self._head
-
-    def _fire_head(self) -> None:
-        """Run the callback of the timer at the cached head.
+    def _fire_next(self) -> None:
+        """Run the earliest timer's callback.
 
         The event loop calls this with the clock already advanced to
-        ``_head``.  If the head is stale (its timer was cancelled),
-        this repairs the cache and fires nothing — the loop simply
-        comes around again.  At most one timer fires per call, and the
-        head is exact again before the callback runs (callbacks may
-        arm or cancel freely).
+        ``heap[0][0]``.  The invariant holds again before the callback
+        runs, so callbacks may arm or cancel freely.
         """
-        due = self._due
-        i = self._due_i
-        n = len(due)
-        target = self._head
-        while i < n:
-            timer = due[i]
-            if timer._state != _TIMER_PENDING:
-                i += 1
-                continue
-            if timer.when > target:
-                # Stale head: the timer it pointed at was cancelled.
-                self._due_i = i
-                self._head = timer.when
-                return
-            i += 1
-            self._due_i = i
-            timer._state = _TIMER_FIRED
-            self._live -= 1
-            self.fired_total += 1
-            j = i
-            while j < n and due[j]._state != _TIMER_PENDING:
-                j += 1
-            if j < n:
-                self._due_i = j
-                self._head = due[j].when
-            else:
-                self._due_i = j
-                self._refill()
-            timer.callback()
-            return
-        self._due_i = i
-        self._refill()
-
-    # -- bucket machinery ---------------------------------------------
-
-    def _place(self, timer: WheelTimer, cursor: int) -> None:
-        """File a future timer into the level its distance selects."""
-        tick = timer._tick
-        delta = tick - cursor
-        if delta < _WHEEL_SLOTS:
-            self._levels[0][tick & _WHEEL_MASK].append(timer)
-            self._counts[0] += 1
-        elif delta < _WHEEL_SLOTS ** 2:
-            self._levels[1][(tick >> 8) & _WHEEL_MASK].append(timer)
-            self._counts[1] += 1
-        elif delta < _WHEEL_SPAN:
-            self._levels[2][(tick >> 16) & _WHEEL_MASK].append(timer)
-            self._counts[2] += 1
-        else:
-            self._overflow.append(timer)
-
-    def _cascade(self, level: int, cursor: int) -> None:
-        """Re-file the slot the cursor just reached one level down.
-
-        Timers whose tick equals the new cursor join the due list;
-        cancelled entries are dropped here, which is the lazy-cancel
-        reap point for bucketed timers.
-        """
-        slot_index = (cursor >> (8 * level)) & _WHEEL_MASK
-        entries = self._levels[level][slot_index]
-        if not entries:
-            return
-        self._levels[level][slot_index] = []
-        self._counts[level] -= len(entries)
-        due = self._due
-        for timer in entries:
-            if timer._state != _TIMER_PENDING:
-                continue
-            if timer._tick <= cursor:
-                due.append(timer)
-            else:
-                self._place(timer, cursor)
-
-    def _sift_overflow(self, cursor: int) -> None:
-        """Re-file overflow timers now that the clock moved 256³ ticks."""
-        pending = self._overflow
-        if not pending:
-            return
-        self._overflow = []
-        due = self._due
-        for timer in pending:
-            if timer._state != _TIMER_PENDING:
-                continue
-            if timer._tick <= cursor:
-                due.append(timer)
-            else:
-                self._place(timer, cursor)
-
-    def _refill(self) -> None:
-        """Advance the cursor to the next live deadline, rebuilding the
-        due list.  Only called once the previous due list is fully
-        consumed.  Amortized O(1) per timer plus O(windows crossed)."""
-        self._due = []
-        self._due_i = 0
-        if not self._live:
-            self._head = _INF
-            if (self._counts[0] or self._counts[1] or self._counts[2]
-                    or self._overflow):
-                # Only cancelled husks remain: drop them all at once
-                # rather than letting the cursor chase them.
-                self._levels = [
-                    [[] for _ in range(_WHEEL_SLOTS)] for _ in range(3)]
-                self._counts = [0, 0, 0]
-                self._overflow = []
-            return
-        levels = self._levels
-        counts = self._counts
-        l0 = levels[0]
-        while True:
-            cursor = self._cursor
-            window_end = cursor | _WHEEL_MASK
-            if counts[0]:
-                for tick in range(cursor + 1, window_end + 1):
-                    slot = l0[tick & _WHEEL_MASK]
-                    self._cursor = tick
-                    if slot:
-                        l0[tick & _WHEEL_MASK] = []
-                        counts[0] -= len(slot)
-                        live = [timer for timer in slot
-                                if timer._state == _TIMER_PENDING]
-                        if live:
-                            live.sort()
-                            self._due = live
-                            self._head = live[0].when
-                            return
-            boundary = window_end + 1
-            self._cursor = boundary
-            if not (counts[0] or counts[1] or counts[2] or self._overflow):
-                raise SimulationError("timer wheel lost a live timer")
-            if (boundary >> 8) & _WHEEL_MASK == 0:
-                if (boundary >> 16) & _WHEEL_MASK == 0:
-                    self._sift_overflow(boundary)
-                self._cascade(2, boundary)
-            self._cascade(1, boundary)
-            # Level-0 entries at exactly the new boundary tick were
-            # placed before the cursor reached it; the window scan
-            # above starts one past the boundary, so collect them now.
-            slot = l0[boundary & _WHEEL_MASK]
-            if slot:
-                l0[boundary & _WHEEL_MASK] = []
-                counts[0] -= len(slot)
-                due = self._due
-                for timer in slot:
-                    if timer._state == _TIMER_PENDING:
-                        due.append(timer)
-            due = self._due
-            if due:
-                due.sort()
-                self._head = due[0].when
-                return
+        timer = _heappop(self._heap)[2]
+        timer._state = _TIMER_FIRED
+        self.fired_total += 1
+        self.live -= 1
+        self._settle()
+        timer.callback()
 
     def __repr__(self) -> str:
-        return (f"<TimerWheel live={self._live} armed={self.armed_total} "
+        return (f"<TimerQueue live={self.live} armed={self.armed_total} "
                 f"cancelled={self.cancelled_total} "
                 f"fired={self.fired_total} at {id(self):#x}>")
+
+
+class _StopRun(Exception):
+    """Unwinds :meth:`Environment.run` when its ``until`` event fires."""
+
+
+def _stop_run(event: Event) -> None:
+    raise _StopRun
 
 
 class Environment:
@@ -761,8 +488,8 @@ class Environment:
         assert env.now == 10.0
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process", "_lanes",
-                 "_wheel", "tracer", "metrics", "spans", "process_wrapper")
+    __slots__ = ("_now", "_queue", "_eid", "_active_process", "_timers",
+                 "tracer", "metrics", "spans", "process_wrapper")
 
     PRIORITY_URGENT = 0
     PRIORITY_NORMAL = 1
@@ -772,14 +499,11 @@ class Environment:
         self._queue: List[tuple] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: Registered :class:`TimerLane` batches (usually zero or one).
-        #: The event loop drains due lane entries ahead of the heap;
-        #: an empty list keeps the feature free.
-        self._lanes: List[TimerLane] = []
         #: Cancelable one-shot deadlines (RPC expiries, round and
-        #: transaction timeouts) live here instead of the heap; while
-        #: nothing is armed the loop pays one attribute read per event.
-        self._wheel = TimerWheel(start_ms=self._now)
+        #: transaction timeouts, batched arrivals) live here instead of
+        #: the heap; while nothing is armed the loop pays one list
+        #: truthiness check per event.
+        self._timers = TimerQueue()
         #: Optional structured-event sink: a callable
         #: ``(ts_ms, etype, node, fields)`` installed by the history
         #: recorder (``repro.check``).  ``None`` keeps tracing free:
@@ -847,62 +571,30 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    def add_timer_lane(self, deadlines: Sequence[float],
-                       callback: Callable[[int], None]) -> TimerLane:
-        """Register a sorted batch of deadlines fired as ``callback(i)``.
-
-        ``deadlines`` (a numpy array or any float sequence, sorted
-        non-decreasing, all >= ``now``) is drained ahead of the event
-        heap under the ordering contract documented on
-        :class:`TimerLane`.  An empty batch returns an already
-        exhausted lane without registering anything.
-        """
-        lane = TimerLane(deadlines, callback)
-        if not lane.exhausted:
-            if lane.head() < self._now:
-                raise ValueError(
-                    f"lane deadline {lane.head()} lies in the past "
-                    f"(now={self._now})")
-            self._lanes.append(lane)
-        return lane
-
     @property
-    def timer_wheel(self) -> TimerWheel:
-        """The environment's cancelable-deadline wheel (always present)."""
-        return self._wheel
+    def timer_wheel(self) -> TimerQueue:
+        """The environment's cancelable-timer queue (always present).
+
+        Named for the structure it once was; benchmarks read its
+        ``armed_total``/``cancelled_total``/``fired_total``/``live``.
+        """
+        return self._timers
 
     def arm_timer(self, deadline_ms: float,
-                  callback: Callable[[], None]) -> WheelTimer:
+                  callback: Callable[[], None]) -> Timer:
         """Arm ``callback`` to run at virtual time ``deadline_ms``.
 
-        Returns a :class:`WheelTimer` handle whose :meth:`~WheelTimer.
-        cancel` drops the deadline in O(1) — the idiom for protocol
-        timeouts that are almost always won by the event they guard.
-        Unlike a heap :class:`Timeout`, a cancelled wheel timer never
-        schedules anything and never keeps :meth:`run` alive.
+        Returns a :class:`Timer` handle whose :meth:`~Timer.cancel`
+        drops the deadline — the idiom for protocol timeouts that are
+        almost always won by the event they guard.  Unlike a heap
+        :class:`Timeout`, a cancelled timer never schedules anything
+        and never keeps :meth:`run` alive.
         """
         if deadline_ms < self._now:
             raise ValueError(
                 f"deadline {deadline_ms} lies in the past "
                 f"(now={self._now})")
-        return self._wheel.arm(deadline_ms, callback)
-
-    def _peek_lane(self) -> Optional[Tuple[float, TimerLane]]:
-        """Earliest live lane head, reaping exhausted lanes en route."""
-        lanes = self._lanes
-        best: Optional[TimerLane] = None
-        best_when = _INF
-        index = 0
-        while index < len(lanes):
-            lane = lanes[index]
-            if lane._index >= lane._n:
-                lanes.pop(index)
-                continue
-            when = lane._deadlines[lane._index]
-            if when < best_when:
-                best, best_when = lane, when
-            index += 1
-        return (best_when, best) if best is not None else None
+        return self._timers.arm(deadline_ms, callback)
 
     # -- scheduling & execution -------------------------------------------
 
@@ -914,48 +606,31 @@ class Environment:
         _heappush(self._queue, (self._now + delay, priority, eid, event))
 
     def peek(self) -> float:
-        """Time of the next scheduled occurrence (heap event, lane
-        entry, or wheel timer), or ``inf`` if none."""
-        when = self._queue[0][0] if self._queue else _INF
-        if self._lanes:
-            head = self._peek_lane()
-            if head is not None and head[0] < when:
-                when = head[0]
-        if self._wheel._live:
-            wheel_when = self._wheel.next_deadline()
-            if wheel_when < when:
-                return wheel_when
+        """Time of the next occurrence (heap event or timer), or
+        ``inf`` if none."""
+        timers = self._timers._heap
+        when = timers[0][0] if timers else _INF
+        if self._queue and self._queue[0][0] <= when:
+            return self._queue[0][0]
         return when
 
     def step(self) -> None:
-        """Process the single next occurrence: the earliest lane entry
-        or wheel timer if it beats the heap head (ties go to the heap,
-        then to lanes), else the next queued event.
+        """Process the single next occurrence: the earliest timer if
+        it is strictly earlier than the heap head (ties go to the
+        heap), else the next queued event.
 
-        :meth:`run` inlines this body (with heap/queue bound to locals)
-        — keep the two in sync when changing event-loop semantics.
+        :meth:`run` repeats this body with the two structures bound to
+        locals; the event-loop semantics live in these two places.
         """
-        wheel = self._wheel
-        if self._lanes:
-            head = self._peek_lane()
-            if head is not None and (
-                    not self._queue or head[0] < self._queue[0][0]) and (
-                    not wheel._live or head[0] <= wheel.next_deadline()):
-                when, lane = head
-                self._now = when
-                index = lane._index
-                lane._index = index + 1
-                lane._callback(index)
-                return
-        if wheel._live:
-            when = wheel.next_deadline()
-            if not self._queue or when < self._queue[0][0]:
-                self._now = when
-                wheel._fire_head()
-                return
-        if not self._queue:
+        queue = self._queue
+        timers = self._timers._heap
+        if timers and (not queue or timers[0][0] < queue[0][0]):
+            self._now = timers[0][0]
+            self._timers._fire_next()
+            return
+        if not queue:
             raise SimulationError("no more events to process")
-        when, _priority, _eid, event = _heappop(self._queue)
+        when, _priority, _eid, event = _heappop(queue)
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
@@ -966,25 +641,21 @@ class Environment:
             raise event._value
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains or virtual time reaches ``until``."""
-        if self.metrics is not None:
-            # Instrumented runs take the metered loop; the fast loops
-            # below stay byte-identical for the no-registry case, so
-            # observability costs nothing when it is off.
-            self._run_instrumented(until)
-            return
-        # Both branches inline step() with `queue`/`pop` as locals: the
-        # loop runs once per simulated event, and dropping the extra
-        # method call per event is a measurable share of figure-scale
-        # wall time (see docs/performance.md).  Timer lanes cost one
-        # truthiness check per event while none are registered; when
-        # one is, due lane entries drain ahead of the heap (heap wins
-        # exact-timestamp ties — see TimerLane's ordering contract).
+        """Run until nothing is left or virtual time reaches ``until``.
+
+        ``until`` plants an urgent stop event whose callback unwinds
+        the loop, so the loop itself never tests for it.  With a
+        metrics registry installed the processed-occurrence count is
+        published as ``sim.events`` (even if the run raises) from
+        bookkeeping around the loop: heap pops are events scheduled
+        minus queue growth, plus timers fired, minus the stop event.
+        """
         queue = self._queue
+        timer_queue = self._timers
+        timers = timer_queue._heap
         pop = _heappop
-        lanes = self._lanes
-        peek_lane = self._peek_lane
-        wheel = self._wheel
+        base = self._eid - len(queue) + timer_queue.fired_total
+        stop: Optional[Event] = None
         if until is not None:
             if until < self._now:
                 raise ValueError(
@@ -992,110 +663,38 @@ class Environment:
             stop = Event(self)
             stop._ok = True
             stop._value = None
+            stop.callbacks.append(_stop_run)
             self.schedule(stop, delay=until - self._now,
                           priority=self.PRIORITY_URGENT)
-            while queue or lanes or wheel._live:
-                if lanes:
-                    head = peek_lane()
-                    if head is not None and (
-                            not queue or head[0] < queue[0][0]) and (
-                            not wheel._live or head[0] <= wheel._head):
-                        when, lane = head
-                        self._now = when
-                        index = lane._index
-                        lane._index = index + 1
-                        lane._callback(index)
-                        continue
-                if wheel._live:
-                    # The cached head is a lower bound; a stale visit
-                    # advances the clock to it and fires nothing, so
-                    # the strict < below still stops before `until`.
-                    when = wheel._head
-                    if queue and when < queue[0][0]:
-                        self._now = when
-                        wheel._fire_head()
-                        continue
-                if not queue:
-                    break
-                if queue[0][3] is stop:
-                    self._now = pop(queue)[0]
-                    return
-                when, _priority, _eid, event = pop(queue)
-                self._now = when
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-        else:
-            while queue or lanes or wheel._live:
-                if lanes:
-                    head = peek_lane()
-                    if head is not None and (
-                            not queue or head[0] < queue[0][0]) and (
-                            not wheel._live or head[0] <= wheel._head):
-                        when, lane = head
-                        self._now = when
-                        index = lane._index
-                        lane._index = index + 1
-                        lane._callback(index)
-                        continue
-                if wheel._live:
-                    when = wheel._head
-                    if not queue or when < queue[0][0]:
-                        self._now = when
-                        wheel._fire_head()
-                        continue
-                if not queue:
-                    break
-                when, _priority, _eid, event = pop(queue)
-                self._now = when
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-
-    def _run_instrumented(self, until: Optional[float]) -> None:
-        """The metered event loop: same semantics as :meth:`run`'s fast
-        loops (it delegates to :meth:`step`), plus a processed-event
-        count published as the ``sim.events`` counter even if the run
-        raises."""
-        metrics = self.metrics
-        processed = 0
         try:
-            if until is not None:
-                if until < self._now:
-                    raise ValueError(
-                        f"until={until} lies in the past (now={self._now})")
-                stop = Event(self)
-                stop._ok = True
-                stop._value = None
-                self.schedule(stop, delay=until - self._now,
-                              priority=self.PRIORITY_URGENT)
-                queue = self._queue
-                wheel = self._wheel
-                while queue or self._lanes or wheel._live:
-                    if queue and queue[0][3] is stop:
-                        # The stop event wins exact-timestamp ties with
-                        # lane entries and wheel timers; only a strictly
-                        # earlier occurrence may still fire (via step()).
-                        head = self._peek_lane() if self._lanes else None
-                        if (head is None or head[0] >= queue[0][0]) and (
-                                not wheel._live
-                                or wheel.next_deadline() >= queue[0][0]):
-                            self._now = _heappop(queue)[0]
-                            return
-                    self.step()
-                    processed += 1
-            else:
-                wheel = self._wheel
-                while self._queue or self._lanes or wheel._live:
-                    if (not self._queue and not wheel._live
-                            and self._peek_lane() is None):
-                        break
-                    self.step()
-                    processed += 1
+            # One frame per occurrence: step()'s body with the queue,
+            # the timer list and ``heappop`` as locals.
+            while True:
+                if timers:
+                    if not queue or timers[0][0] < queue[0][0]:
+                        self._now = timers[0][0]
+                        timer_queue._fire_next()
+                        continue
+                elif not queue:
+                    break
+                when, _priority, _eid, event = pop(queue)
+                self._now = when
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+        except _StopRun:
+            pass
         finally:
-            if processed:
-                metrics.inc("sim.events", float(processed))
+            processed = (self._eid - len(queue) + timer_queue.fired_total
+                         - base)
+            if stop is not None:
+                if stop.callbacks is None:
+                    processed -= 1
+                else:
+                    # Still queued (the run raised first): it must not
+                    # end some later run.
+                    stop.callbacks = []
+            if processed and self.metrics is not None:
+                self.metrics.inc("sim.events", float(processed))

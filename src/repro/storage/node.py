@@ -81,7 +81,7 @@ class StorageNode:
             bucket_ms=bucket_ms, keep_buckets=keep_buckets)
         #: Per-round deadline handed to every classic :class:`PaxosRound`
         #: this node starts.  The round arms it on the kernel's
-        #: cancelable timer wheel and cancels it when the quorum
+        #: cancelable timer queue and cancels it when the quorum
         #: resolves, so rounds that finish on time (almost all of them)
         #: leave no dead timer behind on the event heap.
         self.round_timeout_ms = round_timeout_ms

@@ -6,11 +6,11 @@ but at 10⁴ tx/s the kernel spends most of its time resuming the load
 generator and re-drawing scalars one at a time.  ``AggregateLoad``
 replaces that with *batch* scheduling: arrival times, item counts, key
 indices, and read/write coin flips for a whole batch are drawn in a
-handful of vectorized numpy calls, and the batch is registered with
-the kernel either as one array-backed timer lane
-(:meth:`repro.sim.Environment.add_timer_lane`) or, when the lane is
-disabled, as a single generator process.  The issuer-facing behaviour
-is unchanged: each arrival still calls
+handful of vectorized numpy calls, and the batch is delivered by one
+cancelable kernel timer per arrival
+(:meth:`repro.sim.Environment.arm_timer`), each armed from the
+callback of the one before — no generator process, no heap event.
+The issuer-facing behaviour is unchanged: each arrival still calls
 :meth:`~repro.workload.load.TransactionIssuer.issue` (or
 ``issue_read``) at its exact simulated arrival time.
 
@@ -35,17 +35,17 @@ Two modes trade exactness for speed:
 With ``population`` set, every arrival is also attributed to one of
 ``population`` simulated users (uniformly, from a dedicated stream)
 and a bitmap tracks which users have appeared — this is how the
-``scale`` bench represents 10⁶ clients in ~1 MB instead of 10⁶
+``loadgen`` bench represents 10⁶ clients in ~1 MB instead of 10⁶
 generator processes.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.sim import Environment, RandomStreams
+from repro.sim import Environment, RandomStreams, Timer
 from repro.workload.buying import BuyTransactionFactory
 from repro.workload.load import PoissonArrivals, TransactionIssuer
 
@@ -66,7 +66,6 @@ class AggregateLoad:
                  read_fraction: float = 0.0,
                  mode: str = "vectorized",
                  batch_size: int = 1024,
-                 use_timer_lane: bool = True,
                  population: int = 0):
         if mode not in ("vectorized", "exact"):
             raise ValueError(f"unknown aggregate mode {mode!r}")
@@ -86,7 +85,6 @@ class AggregateLoad:
         self.read_fraction = float(read_fraction)
         self.mode = mode
         self.batch_size = int(batch_size)
-        self.use_timer_lane = bool(use_timer_lane)
         self.population = int(population)
         # Exact mode replays the per-client stream; vectorized mode
         # uses its numpy twin.  Client attribution always has its own
@@ -102,13 +100,15 @@ class AggregateLoad:
         self._finished = False
         self._deadline: Optional[float] = None
         self._next_time = 0.0
-        self._lane: Any = None
-        # Current batch payload (parallel, indexed by arrival).
-        self._times: Sequence[float] = ()
+        #: The latest arrival armed; :meth:`stop` cancels it if pending.
+        self._timer: Optional[Timer] = None
+        # Current batch payload (parallel, indexed by arrival) and the
+        # index of the arrival ``_timer`` stands for.
+        self._times: List[float] = []
         self._writes: List[list] = []
         self._hot: Any = ()
         self._reads: Any = None
-        self._last_index = -1
+        self._index = 0
 
     # -- lifecycle ----------------------------------------------------
 
@@ -121,16 +121,13 @@ class AggregateLoad:
         self._next_time = self.env.now
         self._deadline = (self.env.now + duration_ms
                           if duration_ms is not None else None)
-        if self.use_timer_lane:
-            self._begin_batch()
-        else:
-            self.env.process(self._run())
+        self._begin_batch()
 
     def stop(self) -> None:
         self._running = False
-        if self._lane is not None:
-            self._lane.cancel()
-            self._lane = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def distinct_clients(self) -> int:
         """How many of the ``population`` users have issued so far."""
@@ -146,7 +143,6 @@ class AggregateLoad:
             n = self._draw_exact()
         else:
             n = self._draw_vectorized()
-        self._last_index = n - 1
         if n and self._clients_seen is not None:
             clients = self._client_rng.integers(
                 0, self.population, size=n)
@@ -213,7 +209,8 @@ class AggregateLoad:
                            if self.read_fraction else None)
         else:
             self._writes, self._hot, self._reads = [], (), None
-        self._times = times
+        # Plain floats: the kernel clock takes these values as they are.
+        self._times = times.tolist()
         return n
 
     # -- delivery -----------------------------------------------------
@@ -228,44 +225,24 @@ class AggregateLoad:
             self.issued += 1
 
     def _begin_batch(self) -> None:
-        """Lane mode: draw a batch and register it with the kernel."""
-        n = self._load_batch()
-        if n == 0:
+        """Draw a batch and arm its first arrival."""
+        if self._load_batch() == 0:
             self._running = False
-            self._lane = None
             return
-        self._lane = self.env.add_timer_lane(self._times, self._fire)
+        self._index = 0
+        self._timer = self.env.arm_timer(self._times[0], self._fire)
 
-    def _fire(self, index: int) -> None:
-        """Timer-lane callback: one arrival."""
-        if not self._running:
-            return
+    def _fire(self) -> None:
+        """Timer callback: one arrival; arms the next."""
+        index = self._index
         self._issue(index)
-        if index == self._last_index:
-            if self._finished:
-                self._running = False
-                self._lane = None
-            else:
-                self._begin_batch()
-
-    def _run(self):
-        """Fallback without the timer lane: one process, batched draws.
-
-        Still amortizes all randomness and construction over the batch;
-        only the scheduling is per-arrival heap events.
-        """
-        env = self.env
-        while self._running:
-            n = self._load_batch()
-            if n == 0:
-                self._running = False
-                return
-            for index in range(n):
-                gap = self._times[index] - env.now
-                yield env.timeout(gap if gap > 0 else 0.0)
-                if not self._running:
-                    return
-                self._issue(index)
-            if self._finished:
-                self._running = False
-                return
+        if not self._running:
+            return  # the issuer stopped the load
+        index += 1
+        if index < len(self._times):
+            self._index = index
+            self._timer = self.env.arm_timer(self._times[index], self._fire)
+        elif self._finished:
+            self._running = False
+        else:
+            self._begin_batch()

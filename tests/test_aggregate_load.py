@@ -3,9 +3,8 @@
 The exactness contract: ``AggregateLoad`` in ``exact`` mode replays
 the per-client stream draw for draw, so a whole experiment produces
 **identical** per-transaction records whether the load was generated
-per arrival or per batch, on the timer lane or on heap events.
-Vectorized mode has its own (numpy) sample path and is pinned for
-determinism instead.
+per arrival or per batch.  Vectorized mode has its own (numpy) sample
+path and is pinned for determinism instead.
 """
 
 import dataclasses
@@ -82,12 +81,6 @@ def test_exact_mode_issues_identically_to_per_client():
         assert batched.calls == reference.calls, f"batch={batch_size}"
 
 
-def test_exact_mode_without_lane_matches_too():
-    reference, _ = _drive(OpenSystemLoad)
-    batched, _ = _drive(AggregateLoad, mode="exact", use_timer_lane=False)
-    assert batched.calls == reference.calls
-
-
 def test_exact_mode_read_fraction_parity():
     reference, _ = _drive(OpenSystemLoad, read_fraction=0.3)
     batched, _ = _drive(AggregateLoad, mode="exact", read_fraction=0.3,
@@ -97,11 +90,10 @@ def test_exact_mode_read_fraction_parity():
 
 
 def test_exact_mode_experiment_digest_identity():
-    """Whole-experiment pin at small N: per-client vs aggregate-exact,
-    lane on and off, must produce byte-identical records."""
+    """Whole-experiment pin at small N: per-client vs aggregate-exact
+    must produce byte-identical records."""
     reference = _result_digest(_run())
     for overrides in ({"load_engine": "aggregate"},
-                      {"load_engine": "aggregate", "load_timer_lane": False},
                       {"load_engine": "aggregate", "load_batch_size": 13}):
         assert _result_digest(_run(**overrides)) == reference, overrides
 
@@ -135,12 +127,6 @@ def test_vectorized_mode_deterministic_at_large_n():
     # ~5k tx/s for 10 simulated seconds, all attributed to users.
     assert 45_000 < count < 55_000
     assert 0 < clients <= 100_000
-
-
-def test_vectorized_lane_and_heap_paths_identical():
-    lane, _ = _drive(AggregateLoad, mode="vectorized")
-    heap, _ = _drive(AggregateLoad, mode="vectorized", use_timer_lane=False)
-    assert lane.calls == heap.calls
 
 
 def test_vectorized_experiment_deterministic():

@@ -7,8 +7,9 @@ Three contracts are pinned here:
   with and without it, no extra rng draws);
 * **determinism** — two runs of the same seed produce byte-identical
   span trees and metric dumps (golden-pinned on the capture version);
-* **zero cost** — with no registry installed the kernel/transport hot
-  loops run the same inlined fast paths as before the layer existed.
+* **zero cost** — the kernel has one event loop whether or not a
+  registry is installed: metered and unmetered runs take the same time
+  (measured both ways) and ``sim.events`` is an exact count.
 """
 
 import json
@@ -28,7 +29,7 @@ CHECK_CONFIG = CheckConfig(seed=7, n_txns=20, n_faults=4)
 #: Captured on CPython 3.11 (same caveat as the history goldens: the
 #: rng variate algorithms are only promised stable within a feature
 #: release, and span timestamps derive from them).  Recaptured when
-#: protocol timeouts moved to the cancelable timer wheel: histories
+#: protocol timeouts moved to cancelable kernel timers: histories
 #: are byte-identical, but runs quiesce earlier (dead timers no longer
 #: hold the clock) and ``sim.events`` no longer counts their churn.
 GOLDEN_OBS_DIGESTS = {
@@ -128,46 +129,54 @@ def _kernel_seconds(observe: bool, n_events: int = 30_000) -> float:
     return time.perf_counter() - start
 
 
-def test_uninstrumented_kernel_skips_the_metered_loop(monkeypatch):
-    def boom(self, until=None):
-        raise AssertionError("fast path must not call _run_instrumented")
-
-    def one_tick(env):
-        yield env.timeout(1.0)
-
-    monkeypatch.setattr(Environment, "_run_instrumented", boom)
-    env = Environment()
-    env.process(one_tick(env))
-    env.run()  # fast loop; boom not reached
-    instrumented = Environment()
-    ObsSession(spans=False).install(instrumented)
-    instrumented.process(one_tick(instrumented))
-    with pytest.raises(AssertionError):
-        instrumented.run()
-
-
 def test_kernel_zero_cost_band():
-    off = min(_kernel_seconds(False) for _ in range(3))
-    on = min(_kernel_seconds(True) for _ in range(3))
-    # The uninstrumented path does strictly less work than the metered
-    # one; allow a generous noise band so CI machines never flake.
-    assert off <= on * 1.25, (
-        f"no-registry kernel run ({off:.4f}s) slower than instrumented "
-        f"({on:.4f}s) beyond the 25% band")
+    off = min(_kernel_seconds(False) for _ in range(5))
+    on = min(_kernel_seconds(True) for _ in range(5))
+    # One loop serves both: ``sim.events`` comes from bookkeeping
+    # around it, so neither side may be measurably slower.
+    assert off <= on * 1.10 and on <= off * 1.10, (
+        f"no-registry kernel run ({off:.4f}s) and metered run "
+        f"({on:.4f}s) differ beyond the 10% band")
 
 
-def test_metered_loop_counts_events():
+def _events_script(observe, windows):
+    """Five heap occurrences (process start, three timeouts, process
+    end) and three timers of which one is cancelled: seven in all."""
     env = Environment()
     session = ObsSession(spans=False)
-    session.install(env)
+    if observe:
+        session.install(env)
+    history = []
 
     def ticker(env):
-        for _ in range(10):
+        for _ in range(3):
             yield env.timeout(1.0)
+            history.append(("tick", env.now))
 
     env.process(ticker(env))
-    env.run()
-    assert session.registry.counter_value("sim.events") >= 10.0
+    for when in (0.5, 2.5):
+        env.arm_timer(when, lambda w=when: history.append(("timer", w)))
+    env.arm_timer(1.5, lambda: history.append(("dead", 1.5))).cancel()
+    counts = []
+    for until in windows:
+        env.run(until=until)
+        counts.append(session.registry.counter_value("sim.events"))
+    return env.now, history, counts
+
+
+@pytest.mark.parametrize("windows, expected", [
+    ((None,), [7.0]),
+    # The window ends on the boundary: the stop event beats the tick
+    # queued at exactly 2.0, and is not itself counted.
+    ((2.0,), [3.0]),
+    ((2.0, 4.0), [3.0, 7.0]),
+])
+def test_sim_events_is_an_exact_count(windows, expected):
+    now, history, counts = _events_script(True, windows)
+    assert counts == expected
+    plain_now, plain_history, plain_counts = _events_script(False, windows)
+    assert (now, history) == (plain_now, plain_history)
+    assert plain_counts == [0.0] * len(windows)
 
 
 # -- CLI --------------------------------------------------------------------

@@ -106,3 +106,26 @@ def test_cli_smoke_writes_report_and_compares(tmp_path):
     assert main(["--scale", "0.01", "--repeats", "1", "--pool", "2",
                  "--only", "kernel", "--out", str(second),
                  "--threshold", "90", "--compare", str(doctored)]) == 1
+
+
+@pytest.mark.parametrize("overhead_pct, exit_code", [(4.0, 0), (35.0, 1)])
+def test_compare_gates_obs_kernel_overhead(tmp_path, monkeypatch, capsys,
+                                           overhead_pct, exit_code):
+    """The absolute obs gate: a metrics registry may cost the kernel
+    loop at most 10 %, whatever the baseline file says."""
+    from repro.perf import __main__ as cli
+    from repro.perf.benches import BenchSpec
+
+    def fake_obs(scale, pool, repeats=1):
+        return {"kernel_events_per_sec_off": 1e6,
+                "kernel_overhead_pct": overhead_pct}
+
+    monkeypatch.setattr(cli, "BENCHES", [BenchSpec(
+        "obs", fake_obs, "kernel_events_per_sec_off", True, "events/s",
+        "stub")])
+    baseline = tmp_path / "baseline.json"
+    assert cli.main(["--only", "obs", "--out", str(baseline)]) == 0
+    assert cli.main(["--only", "obs", "--out", str(tmp_path / "now.json"),
+                     "--compare", str(baseline)]) == exit_code
+    assert ("obs: metered kernel loop" in capsys.readouterr().out) == bool(
+        exit_code)

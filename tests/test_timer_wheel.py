@@ -1,23 +1,25 @@
-"""Kernel timer wheel: ordering vs heap and lanes, cancellation, RPC.
+"""Kernel cancelable timers: ordering vs the heap, cancellation, RPC.
 
-The contract under test (see :class:`repro.sim.TimerWheel`): wheel
-timers fire interleaved with heap events and lane entries in timestamp
-order; at exactly equal timestamps the heap wins, then lanes, then the
-wheel; a ``run(until=t)`` boundary stops before a wheel timer at
-exactly ``t``; cancelled timers never fire, never schedule anything,
-and never keep ``run()`` alive; and the RPC reply path cancels the
-deadline so a call answered in time touches the heap zero extra times.
+The contract under test (see :class:`repro.sim.TimerQueue`): timers
+fire interleaved with heap events in timestamp order; at exactly equal
+timestamps the heap wins; same-deadline timers fire in arm order; a
+``run(until=t)`` boundary stops before a timer at exactly ``t``;
+cancelled timers never fire, never schedule anything, and never keep
+``run()`` alive; and the RPC reply path cancels the deadline so a call
+answered in time touches the heap zero extra times.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import RpcEndpoint, RpcTimeout, Transport, uniform_topology
-from repro.sim import Environment, RandomStreams, TimerWheel
+from repro.sim import Environment, RandomStreams
 
 
-# -- ordering vs the heap and lanes -----------------------------------------
+# -- ordering vs the heap ---------------------------------------------------
 
-def test_wheel_interleaves_with_heap_events():
+def test_timers_interleave_with_heap_events():
     env = Environment()
     order = []
 
@@ -29,14 +31,14 @@ def test_wheel_interleaves_with_heap_events():
 
     env.process(proc(env))
     for when in (0.5, 1.5, 2.5):
-        env.arm_timer(when, lambda w=when: order.append(("wheel", w)))
+        env.arm_timer(when, lambda w=when: order.append(("timer", w)))
     env.run()
-    assert order == [("wheel", 0.5), ("heap", 1.0), ("wheel", 1.5),
-                     ("wheel", 2.5), ("heap", 3.0)]
+    assert order == [("timer", 0.5), ("heap", 1.0), ("timer", 1.5),
+                     ("timer", 2.5), ("heap", 3.0)]
     assert env.now == 3.0
 
 
-def test_heap_and_lane_win_exact_timestamp_ties():
+def test_heap_wins_exact_timestamp_ties():
     env = Environment()
     order = []
 
@@ -44,11 +46,10 @@ def test_heap_and_lane_win_exact_timestamp_ties():
         yield env.timeout(5.0)
         order.append("heap")
 
+    env.arm_timer(5.0, lambda: order.append("timer"))
     env.process(proc(env))
-    env.add_timer_lane([5.0], lambda i: order.append("lane"))
-    env.arm_timer(5.0, lambda: order.append("wheel"))
     env.run()
-    assert order == ["heap", "lane", "wheel"]
+    assert order == ["heap", "timer"]
 
 
 def test_same_deadline_timers_fire_in_arm_order():
@@ -60,10 +61,10 @@ def test_same_deadline_timers_fire_in_arm_order():
     assert fired == ["a", "b", "c"]
 
 
-def test_until_boundary_stops_before_wheel_timer():
+def test_until_boundary_stops_before_timer():
     """A timer at exactly ``until`` must NOT fire — the urgent stop
-    event wins the tie, matching Timeout and lane semantics — and it
-    survives into the next run window."""
+    event wins the tie, matching Timeout semantics — and it survives
+    into the next run window."""
     env = Environment()
     fired = []
     for when in (1.0, 2.0, 3.0):
@@ -75,7 +76,7 @@ def test_until_boundary_stops_before_wheel_timer():
     assert fired == [1.0, 2.0, 3.0]
 
 
-def test_wheel_advances_clock_when_heap_empty():
+def test_timers_advance_clock_when_heap_empty():
     env = Environment()
     at = []
     env.arm_timer(4.0, lambda: at.append(env.now))
@@ -85,7 +86,7 @@ def test_wheel_advances_clock_when_heap_empty():
     assert env.now == 9.0
 
 
-def test_peek_and_step_see_wheel_head():
+def test_peek_and_step_see_next_timer():
     env = Environment()
     env.arm_timer(3.0, lambda: None)
 
@@ -95,24 +96,11 @@ def test_peek_and_step_see_wheel_head():
     env.process(proc(env))
     assert env.peek() == 0.0  # the process-initialize event
     env.step()
-    assert env.peek() == 3.0  # wheel head beats the 7.0 timeout
+    assert env.peek() == 3.0  # the timer beats the 7.0 timeout
     env.step()
     assert env.now == 3.0
     env.run()
     assert env.now == 7.0
-
-
-def test_long_deadlines_cross_all_wheel_levels():
-    """Deadlines land in level 0/1/2 and the overflow list by distance
-    (256/256²/256³ ticks at 1 ms per tick) and still fire in order."""
-    env = Environment()
-    fired = []
-    deadlines = [70.0, 70_000.0, 2_000_000.0, 20_000_000.0, 30_000_000.0]
-    for when in deadlines:
-        env.arm_timer(when, lambda w=when: fired.append(w))
-    env.run()
-    assert fired == deadlines
-    assert env.now == deadlines[-1]
 
 
 # -- cancellation -----------------------------------------------------------
@@ -158,9 +146,9 @@ def test_cancel_is_idempotent_and_noop_after_fire():
     assert env.timer_wheel.cancelled_total == 1
 
 
-def test_arm_after_fully_cancelled_era_resets_head():
-    """Cancel-everything then arm-earlier must not inherit the stale
-    head: the wheel resets (never min()s) when nothing was live."""
+def test_arm_after_everything_was_cancelled():
+    """Cancel-everything then arm-earlier: the dead later deadline
+    neither fires nor holds the clock."""
     env = Environment()
     fired = []
     late = env.arm_timer(10.0, lambda: fired.append("late"))
@@ -169,27 +157,6 @@ def test_arm_after_fully_cancelled_era_resets_head():
     env.run()
     assert fired == [5.0]
     assert env.now == 5.0
-
-
-def test_arm_from_callback_lands_after_the_consume_pointer():
-    """Arming inside a firing callback inserts into the live due
-    window; a skipped cancelled entry with a later deadline must not
-    bury the new timer behind the consume pointer."""
-    wheel = TimerWheel()
-    fired = []
-    wheel.arm(0.8, lambda: fired.append(0.8))
-    stale = wheel.arm(0.3, lambda: fired.append(0.3))
-    stale.cancel()
-    wheel._fire_head()  # stale-head visit: repairs the cache, fires nothing
-    assert fired == []
-    assert wheel.next_deadline() == 0.8
-    wheel._fire_head()  # now past the dead 0.3 entry
-    assert fired == [0.8]
-    wheel.arm(0.5, lambda: fired.append(0.5))
-    assert wheel.next_deadline() == 0.5
-    wheel._fire_head()
-    assert fired == [0.8, 0.5]
-    assert wheel.live == 0
 
 
 def test_callback_may_arm_the_next_deadline():
@@ -231,8 +198,7 @@ def test_past_deadline_rejected():
         env.arm_timer(4.0, lambda: None)
 
 
-def test_instrumented_run_fires_wheel_identically():
-    """The tracing/metrics slow path drains the wheel identically."""
+def test_traced_run_fires_timers_identically():
     env = Environment()
     order = []
     env.tracer = lambda *args, **kwargs: None
@@ -242,12 +208,76 @@ def test_instrumented_run_fires_wheel_identically():
         order.append(("heap", env.now))
 
     env.process(proc(env))
-    env.arm_timer(0.5, lambda: order.append(("wheel", env.now)))
-    env.arm_timer(1.5, lambda: order.append(("wheel", env.now)))
+    env.arm_timer(0.5, lambda: order.append(("timer", env.now)))
+    env.arm_timer(1.5, lambda: order.append(("timer", env.now)))
     env.run(until=1.2)
-    assert order == [("wheel", 0.5), ("heap", 1.0)]
+    assert order == [("timer", 0.5), ("heap", 1.0)]
     env.run()
-    assert order == [("wheel", 0.5), ("heap", 1.0), ("wheel", 1.5)]
+    assert order == [("timer", 0.5), ("heap", 1.0), ("timer", 1.5)]
+
+
+# -- model test: random arm/cancel/advance vs a sorted list ----------------
+
+_OPS = st.lists(
+    st.one_of(
+        # Small integer grids so equal deadlines and deadlines landing
+        # exactly on a window boundary are common, not measure-zero.
+        st.tuples(st.just("arm"), st.integers(0, 12)),
+        st.tuples(st.just("cancel"), st.integers(0, 63)),
+        st.tuples(st.just("advance"), st.integers(0, 6)),
+    ),
+    max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OPS)
+def test_timer_queue_matches_sorted_list_model(ops):
+    """Fire order is ``(when, arm seq)`` of the uncancelled timers,
+    ``live`` is exact after every operation, a window ``[now, until)``
+    fires exactly the deadlines strictly inside it, and an unbounded
+    ``run()`` ends at the last live deadline."""
+    env = Environment()
+    fired = []
+    handles = []
+    pending = {}  # arm seq -> when: the reference model
+
+    def expect_window(until):
+        due = sorted((when, seq) for seq, when in pending.items()
+                     if until is None or when < until)
+        for _when, seq in due:
+            del pending[seq]
+        return [seq for _when, seq in due]
+
+    for op, arg in ops:
+        if op == "arm":
+            seq = len(handles)
+            when = env.now + float(arg)
+            handles.append(
+                env.arm_timer(when, lambda s=seq: fired.append(s)))
+            pending[seq] = when
+        elif op == "cancel" and handles:
+            seq = arg % len(handles)
+            handles[seq].cancel()
+            pending.pop(seq, None)
+        elif op == "advance":
+            until = env.now + float(arg)
+            expected = expect_window(until)
+            del fired[:]
+            env.run(until=until)
+            assert fired == expected
+            assert env.now == until
+        assert env.timer_wheel.live == len(pending)
+
+    last = max(pending.values(), default=env.now)
+    expected = expect_window(None)
+    del fired[:]
+    env.run()
+    assert fired == expected
+    assert env.now == last
+    wheel = env.timer_wheel
+    assert wheel.live == 0
+    assert wheel.armed_total == len(handles)
+    assert wheel.fired_total + wheel.cancelled_total == len(handles)
 
 
 # -- the RPC deadline path --------------------------------------------------
@@ -261,9 +291,9 @@ def _echo_pair(env):
     return client, server
 
 
-def test_rpc_reply_before_deadline_cancels_wheel_timer():
-    """The acceptance pin: N calls answered in time arm N wheel timers
-    and cancel all N — zero fire, no expiry work, and the run quiesces
+def test_rpc_reply_before_deadline_cancels_timer():
+    """The acceptance pin: N calls answered in time arm N timers and
+    cancel all N — zero fire, no expiry work, and the run quiesces
     at the last reply instead of the last deadline."""
     env = Environment()
     client, _server = _echo_pair(env)
