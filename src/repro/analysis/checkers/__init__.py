@@ -5,4 +5,3 @@ from repro.analysis.checkers import perf  # noqa: F401
 from repro.analysis.checkers import protocol  # noqa: F401
 from repro.analysis.checkers import rng  # noqa: F401
 from repro.analysis.checkers import simgen  # noqa: F401
-from repro.analysis.flow import checkers as flow_checkers  # noqa: F401

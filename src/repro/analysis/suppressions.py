@@ -6,7 +6,7 @@ whole file:
 - ``# repro: allow[DET001]`` on the flagged line suppresses that code
   there; several codes may be listed: ``allow[DET001,RNG002]``.
 - ``# repro: allow[*]`` suppresses every code on the line.
-- ``# repro: allow-fn[RACE001]`` on a function's ``def`` line (or any
+- ``# repro: allow-fn[DET001]`` on a function's ``def`` line (or any
   of its decorator lines) suppresses the code through the whole
   function body; ``allow-fn[*]`` silences the function entirely.
 - ``# repro: allow-file[RNG002]`` (conventionally near the top of the

@@ -142,8 +142,8 @@ def _cmd_fuzz(namespace: argparse.Namespace) -> int:
         processes=namespace.jobs, atomicity=namespace.atomicity)
     if namespace.atomicity:
         # Witnesses are diagnostic, not failures: they show which
-        # guarded fields actually mutated across suspensions, the
-        # dynamic half of the static RACE workflow (docs/analysis.md).
+        # guarded fields actually mutated across suspensions (see
+        # repro.check.atomicity).
         print(f"atomicity: {witnesses} cross-yield mutation witness(es) "
               f"on the guarded watchlist")
     if not failures:

@@ -1,20 +1,20 @@
 """Runtime yield-point atomicity sanitizer.
 
-The static flow checkers (``repro.analysis.flow``) report *potential*
-races: a ``self.*`` attribute that another handler may mutate while a
-process is suspended at a yield.  This module supplies the dynamic
-half of the workflow — an :class:`AtomicityGuard` that, installed on
-an :class:`~repro.sim.kernel.Environment` via the kernel's
+A simulated process may read a ``self.*`` attribute, suspend at a
+yield, and act on the value after another handler has mutated it.
+An :class:`AtomicityGuard`, installed on an
+:class:`~repro.sim.kernel.Environment` via the kernel's
 ``process_wrapper`` hook, snapshots the guarded attributes of a
 process's host object at every yield boundary and records an
 :class:`AtomicityWitness` whenever the value actually changed while
 the process was suspended.
 
-Workflow: each static RACE finding becomes a :class:`GuardSpec`
-(class name + attributes, tagged with the rule code); a fuzz sweep
-with the guard installed either produces a witness (the race is real
-— fix it) or stays silent across the sweep (suppress the finding with
-``# repro: allow[RACE001]`` and cite the sweep).
+Workflow: each suspected race becomes a :class:`GuardSpec` (class
+name + attributes, tagged with a hazard label: ``RACE001`` for a
+stale snapshot read across a yield, ``RACE002`` for check-then-act
+across a yield); a fuzz sweep with the guard installed either
+produces a witness (the race is real — fix it) or stays silent across
+the sweep.
 
 The guard is observation-only: it draws no randomness, schedules no
 events, and never perturbs the run — history digests are byte-for-byte
@@ -44,13 +44,12 @@ _ABSENT = object()
 
 @dataclass(frozen=True)
 class GuardSpec:
-    """One static finding translated into a runtime watch.
+    """One suspected race translated into a runtime watch.
 
     ``class_name`` matches the type name of the generator's ``self``;
-    ``attrs`` are the attribute names the static rule flagged;
-    ``rule`` is the originating diagnostic code (``RACE001``/
-    ``RACE002``); ``origin`` is free-form provenance (typically the
-    static diagnostic's ``path:line``).
+    ``attrs`` are the attribute names suspected of racing; ``rule`` is
+    the hazard label (``RACE001``/``RACE002``); ``origin`` is free-form
+    provenance.
     """
 
     class_name: str
@@ -207,13 +206,10 @@ class AtomicityGuard:
         return "\n".join(lines)
 
 
-#: Guard specs mirroring the RACE-rule watchlist for the shipped
-#: system: the coordinator's in-flight transaction table and the
-#: storage node's mastership/round state are exactly the fields the
-#: static rules would flag if a stale snapshot of them ever crossed a
-#: yield.  Fuzzing with these installed keeps the dynamic half of the
-#: static->dynamic workflow exercised even while the static sweep is
-#: clean.
+#: The race watchlist for the shipped system: the coordinator's
+#: in-flight transaction table and the storage node's mastership/round
+#: state are the fields whose stale snapshot across a yield would
+#: break a handler.  The nightly fuzz sweep runs with these installed.
 DEFAULT_SPECS: Tuple[GuardSpec, ...] = (
     GuardSpec("TransactionManager", ("_active",), rule="RACE001",
               origin="watchlist: coordinator in-flight table"),

@@ -48,16 +48,15 @@ top of the exact defaults:
   hit is bit-identical to a fresh evaluation; ``rate_quantum`` /
   ``w_quantum`` trade exactness for hit rate.  The memo is cleared on
   :meth:`precompute` and invalidated per cell on :meth:`refresh`.
-* :meth:`CommitLikelihoodModel.transaction_likelihood` batches the
-  eq. 8b integrals of all memo-missing records into one ``np.exp``
-  call (element-wise, so still bit-identical to the scalar loop).
+* Eq. 9 — the product of per-record likelihoods — is taken where
+  the factors arrive: :class:`~repro.core.transaction.PlanetTx`
+  multiplies the :meth:`~CommitLikelihoodModel.record_likelihood` of
+  each read reply once the reads are done.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.core.admission import LikelihoodMemo
 from repro.core.histograms import Pmf
@@ -490,60 +489,6 @@ class CommitLikelihoodModel:
         value = phi.no_arrival_probability(key[2], extra_ms=max(key[3], 0.0))
         memo.store(key, value)
         return value
-
-    def transaction_likelihood(
-            self, client_dc: int,
-            records: Sequence[Tuple[int, float]],
-            w_ms: float = 0.0) -> float:
-        """Eq. 9: product of per-record likelihoods.
-
-        ``records`` is a list of ``(leader_dc, arrival_rate_per_ms)``
-        pairs, one per written record.  Memo hits resolve without any
-        array work; the remaining integrals are batched through one
-        ``np.exp`` over stacked exponent rows — element-wise, so the
-        result is bit-identical to the scalar per-record loop.
-        """
-        if not records:
-            return 1.0
-        memo = self.memo
-        values: List[Optional[float]] = [None] * len(records)
-        pending: List[Tuple[int, Optional[tuple], Pmf, float, float]] = []
-        for index, (leader_dc, rate) in enumerate(records):
-            if memo is not None:
-                key, cached = memo.lookup(client_dc, leader_dc, rate, w_ms)
-                if cached is not None:
-                    values[index] = cached
-                    continue
-                eval_rate, eval_w = key[2], key[3]
-            else:
-                key = None
-                eval_rate, eval_w = rate, w_ms
-            if eval_rate < 0:
-                raise ValueError("negative arrival rate")
-            if eval_rate == 0:
-                values[index] = 1.0
-                if memo is not None:
-                    memo.store(key, 1.0)
-                continue
-            phi = self.conflict_window_pmf(client_dc, leader_dc)
-            pending.append((index, key, phi, eval_rate, eval_w))
-        if pending:
-            width = max(item[2].n_bins for item in pending)
-            exponents = np.zeros((len(pending), width))
-            for row, (_, _, phi, rate, w) in enumerate(pending):
-                times = phi.bin_centers() + max(w, 0.0)
-                exponents[row, :phi.n_bins] = -rate * times
-            decay = np.exp(exponents)
-            for row, (index, key, phi, _, _) in enumerate(pending):
-                value = float(np.dot(phi.probs, decay[row, :phi.n_bins]))
-                value = min(max(value, 0.0), 1.0)
-                values[index] = value
-                if memo is not None:
-                    memo.store(key, value)
-        likelihood = 1.0
-        for value in values:
-            likelihood *= value
-        return likelihood
 
     # -- auxiliary estimates --------------------------------------------------------
 

@@ -24,11 +24,6 @@ from repro.harness.parallel import (
     parallel_map,
     run_experiments,
 )
-from repro.harness.sharding import (
-    merge_results,
-    run_sharded,
-    shard_configs,
-)
 from repro.obs.monitor import ClusterSnapshot, HealthMonitor, snapshot
 from repro.obs.txmetrics import MetricsCollector, TxRecord
 from repro.obs.txtrace import TransactionTrace, TransactionTracer
@@ -46,13 +41,10 @@ __all__ = [
     "TxRecord",
     "default_pool_size",
     "format_table",
-    "merge_results",
     "parallel_map",
     "print_table",
     "render_bars",
     "render_curves",
     "run_experiments",
-    "run_sharded",
-    "shard_configs",
     "snapshot",
 ]

@@ -20,7 +20,6 @@ from repro.obs.txmetrics import MetricsCollector, TxRecord
 from repro.sim import Environment, RandomStreams
 from repro.storage.record import WriteOp
 from repro.workload import (
-    AggregateLoad,
     BuyTransactionFactory,
     HotspotAccess,
     ModulatedArrivals,
@@ -127,24 +126,12 @@ class ExperimentConfig:
     think_time_ms: float = 0.0
     #: Fraction of arrivals that are read-only browse transactions.
     read_fraction: float = 0.0
-    #: Load engine: ``"per-client"`` (the default per-arrival generator
-    #: process), ``"aggregate"`` (batch-scheduled, exact replay of the
-    #: per-client draw sequence — byte-identical histories), or
-    #: ``"aggregate-vectorized"`` (batch-scheduled with vectorized
-    #: numpy draws — same distributions, the million-client scale path).
-    load_engine: str = "per-client"
-    #: Arrivals drawn and scheduled per batch by the aggregate engines.
-    load_batch_size: int = 1024
-    #: Simulated user population for client attribution in the
-    #: aggregate engines (0 = untracked).
-    load_population: int = 0
     #: Time-varying rate shape applied to the arrival process (see
     #: :mod:`repro.workload.modulation`); None keeps the constant-rate
     #: paper workload bit-for-bit.
     modulation: Optional[RateModulation] = None
     #: Mixed-tenant workload: one open-system generator per tenant on
     #: its own stream, replacing the single ``rate_tps`` load.
-    #: Requires the per-client engine.
     tenants: Optional[Sequence[TenantSpec]] = None
     # environment script
     #: Declarative fault schedule (:class:`repro.check.FaultSchedule`)
@@ -457,12 +444,9 @@ class Experiment:
         return ModulatedArrivals(arrivals, modulation)
 
     def _build_load(self):
-        """The configured load engine (see ``load_engine``)."""
+        """One open-system load, or one per tenant."""
         config = self.config
         if config.tenants is not None:
-            if config.load_engine != "per-client":
-                raise ValueError(
-                    "tenant workloads require the per-client engine")
             names = [tenant.name for tenant in config.tenants]
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate tenant names in {names}")
@@ -476,25 +460,12 @@ class Experiment:
                     read_fraction=tenant.read_fraction)
                 for tenant in config.tenants
             ])
-        arrivals = self._arrivals(config.rate_tps, config.modulation)
-        if config.load_engine == "per-client":
-            return OpenSystemLoad(self.env, self.factory, self._issuer,
-                                  config.rate_tps, self.streams,
-                                  name=config.name,
-                                  arrivals=arrivals,
-                                  read_fraction=config.read_fraction)
-        if config.load_engine in ("aggregate", "aggregate-vectorized"):
-            mode = ("exact" if config.load_engine == "aggregate"
-                    else "vectorized")
-            return AggregateLoad(self.env, self.factory, self._issuer,
-                                 config.rate_tps, self.streams,
-                                 name=config.name,
-                                 arrivals=arrivals,
-                                 read_fraction=config.read_fraction,
-                                 mode=mode,
-                                 batch_size=config.load_batch_size,
-                                 population=config.load_population)
-        raise ValueError(f"unknown load engine {config.load_engine!r}")
+        return OpenSystemLoad(self.env, self.factory, self._issuer,
+                              config.rate_tps, self.streams,
+                              name=config.name,
+                              arrivals=self._arrivals(config.rate_tps,
+                                                      config.modulation),
+                              read_fraction=config.read_fraction)
 
     # -- execution -----------------------------------------------------------------
 

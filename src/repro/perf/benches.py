@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from repro.core.admission import DynamicPolicy
 from repro.core.likelihood import CommitLikelihoodModel
@@ -21,10 +21,8 @@ from repro.core.statistics import OracleLatencySource
 from repro.harness.experiment import Experiment, ExperimentConfig
 from repro.harness.parallel import (
     WorkerPool,
-    effective_cpu_count,
     run_experiments,
 )
-from repro.harness.sharding import derive_shard_seed, split_evenly
 from repro.mdcc.cluster import Cluster
 from repro.net import (
     Message,
@@ -391,23 +389,6 @@ class _CountingIssuer:
         self.keys_touched += len(writes)
 
 
-def _loadgen_shard(args: Tuple[float, int, int, float]) -> Tuple[int, int]:
-    """Pool worker: one population shard of the loadgen bench, its own
-    kernel on a derived seed.  Module-level so it pickles."""
-    rate_tps, population, seed, window_ms = args
-    env = Environment()
-    streams = RandomStreams(seed=seed)
-    pattern = ZipfianAccess(100_000, s=0.99)
-    factory = BuyTransactionFactory(pattern)
-    issuer = _CountingIssuer()
-    load = AggregateLoad(
-        env, factory, issuer, rate_tps, streams, name="scale-shard",
-        mode="vectorized", batch_size=4_096, population=population)
-    load.start(duration_ms=window_ms)
-    env.run(until=window_ms)
-    return issuer.issued, load.distinct_clients()
-
-
 def bench_loadgen(scale: float, pool: int,
                   repeats: int = 1) -> Dict[str, float]:
     """Million-client load *generation* through the batched engine.
@@ -421,13 +402,6 @@ def bench_loadgen(scale: float, pool: int,
     budget; ``--compare`` fails on 0.0.  The per-client engine at this
     rate would be ~10⁶ heap events plus one generator resume each —
     the number this bench exists to make unnecessary.
-
-    When >= 2 CPUs are usable, a second arm runs the same workload
-    through the sharding layer: the population split into one shard
-    per worker (same decomposition :func:`repro.harness.sharding.
-    shard_configs` uses), each shard its own kernel in a pool process.
-    ``shard_speedup`` is single-kernel wall over sharded wall; on a
-    single-CPU host the arm is skipped (``shards`` reports 1).
     """
     window_ms = max(1_000.0, LOADGEN_WINDOW_MS * scale)
     observed: Dict[str, float] = {}
@@ -449,37 +423,10 @@ def bench_loadgen(scale: float, pool: int,
         observed["clients"] = float(load.distinct_clients())
         return seconds
 
-    single_s = best_of(run, repeats)
-
-    shards = max(1, min(pool, effective_cpu_count()))
-    sharded_s = 0.0
-    sharded_arrivals = 0.0
-    if shards >= 2:
-        populations = split_evenly(LOADGEN_USERS, shards)
-        tasks = [
-            (LOADGEN_RATE_TPS / shards, populations[index],
-             derive_shard_seed(97, index, shards), window_ms)
-            for index in range(shards)
-        ]
-        worker_pool = WorkerPool(shards)
-        try:
-            def sharded_run() -> float:
-                box: List[List[Tuple[int, int]]] = []
-                seconds = timed(lambda: box.append(
-                    worker_pool.map(_loadgen_shard, tasks)))
-                sharded_arrivals_now = float(
-                    sum(issued for issued, _clients in box[0]))
-                observed["sharded_arrivals"] = sharded_arrivals_now
-                return seconds
-
-            sharded_s = best_of(sharded_run, repeats)
-            sharded_arrivals = observed["sharded_arrivals"]
-        finally:
-            worker_pool.close()
-
+    wall_s = best_of(run, repeats)
     rss = peak_rss_mb()
     wall_budget = max(5.0, LOADGEN_WALL_BUDGET_S * scale)
-    within = 1.0 if (single_s <= wall_budget
+    within = 1.0 if (wall_s <= wall_budget
                      and rss <= LOADGEN_RSS_BUDGET_MB) else 0.0
     arrivals = observed["arrivals"]
     return {
@@ -487,12 +434,8 @@ def bench_loadgen(scale: float, pool: int,
         "rate_tps": LOADGEN_RATE_TPS,
         "window_ms": window_ms,
         "arrivals": arrivals,
-        "seconds": single_s,
-        "arrivals_per_sec": arrivals / single_s if single_s > 0 else 0.0,
-        "shards": float(shards),
-        "sharded_seconds": sharded_s,
-        "sharded_arrivals": sharded_arrivals,
-        "shard_speedup": single_s / sharded_s if sharded_s > 0 else 0.0,
+        "seconds": wall_s,
+        "arrivals_per_sec": arrivals / wall_s if wall_s > 0 else 0.0,
         "distinct_clients": observed["clients"],
         "peak_rss_mb": rss,
         "wall_budget_s": wall_budget,
@@ -719,5 +662,5 @@ BENCHES: List[BenchSpec] = [
               "s", "independent-config sweep, serial vs persistent pool"),
     BenchSpec("loadgen", bench_loadgen, "arrivals_per_sec", True,
               "arrivals/s", "1M-user load generation at 100k tx/s into "
-              "a counting issuer, single vs sharded kernels"),
+              "a counting issuer on one kernel"),
 ]

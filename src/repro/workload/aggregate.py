@@ -14,23 +14,13 @@ The issuer-facing behaviour is unchanged: each arrival still calls
 :meth:`~repro.workload.load.TransactionIssuer.issue` (or
 ``issue_read``) at its exact simulated arrival time.
 
-Two modes trade exactness for speed:
-
-``exact``
-    Pre-draws each batch from the *same* ``random.Random`` stream the
-    per-client path uses (``load-<name>``), replicating its draw order
-    — gap, then transaction build, then the read-fraction coin —
-    arrival by arrival.  Because that stream is private to the load,
-    pre-drawing a batch up front yields byte-identical histories to
-    ``OpenSystemLoad`` (pinned by tests).  Use it to validate the
-    batched plumbing.
-
-``vectorized``
-    Draws from the seeded numpy twin stream
-    (:meth:`repro.sim.RandomStreams.numpy_generator`).  Same
-    distributions, different (deterministic) sample path; this is the
-    scale mode — O(1) python work per arrival, O(batch) numpy work per
-    batch.
+Batches are drawn from the seeded numpy twin stream
+(:meth:`repro.sim.RandomStreams.numpy_generator`): the same
+distributions as ``OpenSystemLoad``, a different (deterministic)
+sample path, O(1) python work per arrival and O(batch) numpy work per
+batch.  ``OpenSystemLoad`` stays the reference engine every
+:class:`~repro.harness.Experiment` runs; this one serves load
+generation at scales the per-client engine cannot reach.
 
 With ``population`` set, every arrival is also attributed to one of
 ``population`` simulated users (uniformly, from a dedicated stream)
@@ -67,7 +57,7 @@ class AggregateLoad:
                  mode: str = "vectorized",
                  batch_size: int = 1024,
                  population: int = 0):
-        if mode not in ("vectorized", "exact"):
+        if mode != "vectorized":
             raise ValueError(f"unknown aggregate mode {mode!r}")
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
@@ -83,13 +73,10 @@ class AggregateLoad:
         self.issuer = issuer
         self.arrivals = arrivals or PoissonArrivals(rate_tps)
         self.read_fraction = float(read_fraction)
-        self.mode = mode
         self.batch_size = int(batch_size)
         self.population = int(population)
-        # Exact mode replays the per-client stream; vectorized mode
-        # uses its numpy twin.  Client attribution always has its own
-        # stream so enabling it never perturbs the arrival sequence.
-        self._rng = streams.get(f"load-{name}")
+        # Client attribution has its own stream so enabling it never
+        # perturbs the arrival sequence.
         self._np_rng = streams.numpy_generator(f"load-{name}")
         self._client_rng = streams.numpy_generator(f"load-{name}-clients")
         self._clients_seen = (np.zeros(population, dtype=bool)
@@ -139,55 +126,14 @@ class AggregateLoad:
 
     def _load_batch(self) -> int:
         """Draw the next batch into the payload arrays; return size."""
-        if self.mode == "exact":
-            n = self._draw_exact()
-        else:
-            n = self._draw_vectorized()
+        n = self._draw()
         if n and self._clients_seen is not None:
             clients = self._client_rng.integers(
                 0, self.population, size=n)
             self._clients_seen[clients] = True
         return n
 
-    def _draw_exact(self) -> int:
-        rng = self._rng
-        arrivals = self.arrivals
-        factory = self.factory
-        read_fraction = self.read_fraction
-        deadline = self._deadline
-        t = self._next_time
-        times: List[float] = []
-        writes: List[list] = []
-        hot: List[bool] = []
-        reads: List[bool] = [] if read_fraction else None  # type: ignore
-        # Modulated arrivals rescale each gap by the factor at the
-        # previous arrival time — the same time base OpenSystemLoad
-        # sees (env.now at draw time), so exact mode stays replayable.
-        timed = getattr(arrivals, "next_interarrival_ms_at", None)
-        for _ in range(self.batch_size):
-            # Identical draw order to OpenSystemLoad._run: gap, build,
-            # then the read coin — and the gap that crosses the
-            # deadline stops the load *without* building.
-            gap = (timed(rng, t) if timed is not None
-                   else arrivals.next_interarrival_ms(rng))
-            if deadline is not None and t + gap >= deadline:
-                self._finished = True
-                break
-            t += gap
-            txn, touches_hotspot = factory.build(rng)
-            times.append(t)
-            writes.append(txn)
-            hot.append(touches_hotspot)
-            if read_fraction:
-                reads.append(rng.random() < read_fraction)
-        self._next_time = t
-        self._times = times
-        self._writes = writes
-        self._hot = hot
-        self._reads = reads
-        return len(times)
-
-    def _draw_vectorized(self) -> int:
+    def _draw(self) -> int:
         np_rng = self._np_rng
         timed = getattr(self.arrivals, "batch_interarrivals_at", None)
         if timed is not None:

@@ -102,34 +102,6 @@ def test_unreachable_state_detected():
     assert "ReplicaState.ZOMBIE" in diag.message
 
 
-def test_stale_read_across_yield_detected():
-    report = assert_matches_markers("flow_race1_fixture.py")
-    assert all(d.code == "RACE001" for d in report.diagnostics)
-    messages = " ".join(d.message for d in report.diagnostics)
-    # The finding names the competing writer — the interprocedural
-    # evidence that distinguishes a race from a single-owner read.
-    assert "_on_vote" in messages
-    assert "self.pending" in messages and "self.ballot" in messages
-
-
-def test_check_then_act_across_yield_detected():
-    report = assert_matches_markers("flow_race2_fixture.py")
-    assert all(d.code == "RACE002" for d in report.diagnostics)
-    messages = " ".join(d.message for d in report.diagnostics)
-    assert "_on_expire" in messages
-
-
-def test_global_handle_escape_detected():
-    report = assert_matches_markers("flow_global_fixture.py")
-    assert all(d.code == "FLOW001" for d in report.diagnostics)
-    messages = " ".join(d.message for d in report.diagnostics)
-    # Module scope, global-rebind, container, and through-a-helper
-    # paths must all be represented.
-    assert "SHARED_ENV" in messages
-    assert "_CACHE" in messages and "_RESULTS" in messages
-    assert "remember_indirect" in messages
-
-
 def test_diagnostics_carry_checker_and_severity():
     report = analyze_paths([str(FIXTURES / "det_wall_clock.py")])
     assert report.diagnostics

@@ -1,7 +1,6 @@
 """AtomicityGuard: yield-point snapshots, witnesses, zero perturbation.
 
-The guard is the dynamic half of the static RACE workflow: a
-``GuardSpec`` mirrors a static finding, and a run either produces an
+A ``GuardSpec`` names a suspected race, and a run either produces an
 ``AtomicityWitness`` (the interleaving is real) or demonstrates the
 field never mutates across that suspension.  Its hard contract is
 transparency — installing it must not change a single simulated event,

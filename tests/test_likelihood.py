@@ -91,7 +91,7 @@ def test_size_distribution_folds_above_max():
 def test_zero_rate_gives_certain_commit():
     model = make_model()
     assert model.record_likelihood(0, 1, 0.0) == 1.0
-    assert model.transaction_likelihood(0, [(1, 0.0), (2, 0.0)]) == 1.0
+    assert model.record_likelihood(0, 2, 0.0, w_ms=50.0) == 1.0
 
 
 def test_likelihood_decreases_with_rate():
@@ -114,13 +114,6 @@ def test_likelihood_decreases_with_latency():
     far = make_model(rtt_ms=300.0)
     assert (far.record_likelihood(0, 1, 0.002)
             < near.record_likelihood(0, 1, 0.002))
-
-
-def test_transaction_likelihood_is_product():
-    model = make_model()
-    single = model.record_likelihood(0, 1, 0.002)
-    double = model.transaction_likelihood(0, [(1, 0.002), (1, 0.002)])
-    assert double == pytest.approx(single ** 2)
 
 
 def test_bigger_previous_transactions_lower_likelihood():
@@ -207,5 +200,5 @@ def test_ec2_matrix_precompute_runs():
                                   size_distribution={1: 0.4, 2: 0.3,
                                                      3: 0.2, 4: 0.1})
     model.precompute()
-    likelihood = model.transaction_likelihood(0, [(3, 0.001), (2, 0.0005)])
-    assert 0.0 < likelihood < 1.0
+    for leader, rate in ((3, 0.001), (2, 0.0005)):
+        assert 0.0 < model.record_likelihood(0, leader, rate) < 1.0

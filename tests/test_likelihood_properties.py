@@ -86,18 +86,6 @@ def test_positive_pressure_costs_something(model):
     assert likelihood < 1.0
 
 
-def test_transaction_likelihood_is_product_of_records(model):
-    records = [(0, 1e-3), (1, 2e-3), (2, 5e-4)]
-    product = 1.0
-    for leader, rate in records:
-        product *= model.record_likelihood(0, leader, rate)
-    assert model.transaction_likelihood(0, records) \
-        == pytest.approx(product)
-    # More records can only lower the likelihood.
-    assert model.transaction_likelihood(0, records) \
-        <= model.transaction_likelihood(0, records[:1]) + 1e-12
-
-
 def test_larger_quorum_lengthens_the_window():
     fast = make_model(quorum=1)
     slow = make_model(quorum=N_DC)

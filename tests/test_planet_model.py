@@ -236,6 +236,37 @@ def test_spec_commit_fires_immediately_at_high_likelihood():
     assert fired[1][1].state is TxState.COMMITTED
 
 
+def test_initial_likelihood_is_product_of_record_likelihoods():
+    # Eq. 9: a transaction's likelihood is the product of its records'
+    # eq. 8b likelihoods, each at the leader and arrival rate its read
+    # reply carried, with the think time as the window shift w.
+    env, cluster = make_env(one_way=50.0)
+    model = make_model(cluster)
+    keys = ["item:1", "item:2", "item:3"]
+    warm = PlanetSession(cluster, "warm", 1)
+    for round_ in range(6):
+        for key in keys:
+            run_tx(env, warm, [WriteOp(key, Update.delta(-1))],
+                   timeout_ms=5_000)
+        env.run(until=env.now + 40.0 * (round_ + 1))
+    session = PlanetSession(cluster, "web", 0, model=model)
+    tx = (session.transaction([WriteOp(key, Update.delta(-1))
+                               for key in keys],
+                              timeout_ms=5_000, think_time_ms=7.0)
+          .on_failure(lambda i: None))
+    planet_tx = tx.execute()
+    env.run()
+    replies = planet_tx.handle.reads
+    assert len(replies) == len(keys)
+    assert any(reply.arrival_rate > 0 for reply in replies.values())
+    expected = 1.0
+    for reply in replies.values():
+        expected *= model.record_likelihood(
+            0, reply.leader_dc, reply.arrival_rate, w_ms=7.0)
+    assert planet_tx.initial_likelihood == expected
+    assert 0.0 < expected < 1.0
+
+
 def test_spec_commit_threshold_one_never_speculates():
     env, cluster = make_env(one_way=50.0)
     model = make_model(cluster)

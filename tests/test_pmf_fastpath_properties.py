@@ -238,20 +238,6 @@ def test_memoized_record_likelihood_is_bit_identical():
     assert model.memo.hits >= len(cases)
 
 
-def test_transaction_likelihood_memo_and_vectorization_agree():
-    model = make_model()
-    records = [(0, 1e-3), (1, 2e-3), (2, 0.0), (0, 1e-3)]
-    memo, model.memo = model.memo, None
-    expected = 1.0
-    for leader, rate in records:
-        expected *= model.record_likelihood(1, leader, rate, w_ms=3.0)
-    model.memo = memo
-    cold = model.transaction_likelihood(1, records, w_ms=3.0)
-    warm = model.transaction_likelihood(1, records, w_ms=3.0)
-    assert cold == expected
-    assert warm == expected
-
-
 def test_quantized_memo_evaluates_at_snapped_point():
     model = make_model(rate_quantum=1e-3, w_quantum=1.0)
     snapped_rate, snapped_w = model.memo.evaluation_point(0.00234, 4.6)

@@ -8,8 +8,8 @@ Three layers, matching what the scenarios CI tier relies on:
   produces the identical recovery table, pinned per scenario for the
   smoke profile on seed 0 so metric drift fails loudly (bump the
   scenario's ``version`` when a change is intentional);
-* plumbing — sharded scenario runs merge exactly, the CLI writes and
-  gates, and the scenario fuzz axis perturbs deterministically.
+* plumbing — the CLI writes and gates, and the scenario fuzz axis
+  perturbs deterministically.
 """
 
 import dataclasses
@@ -19,9 +19,6 @@ import json
 import pytest
 
 from repro.check import CheckConfig, run_check
-from repro.harness import Experiment
-from repro.harness.parallel import WorkerPool
-from repro.harness.sharding import run_sharded
 from repro.scenarios import (
     SCENARIOS,
     SMOKE,
@@ -165,35 +162,6 @@ def test_report_renderings_are_consistent(smoke_reports):
     digest = reports_digest(smoke_reports)
     assert digest == hashlib.sha256(
         reports_json(smoke_reports).encode()).hexdigest()
-
-
-# ---------------------------------------------------------------- sharding
-
-
-def _result_digest(result) -> str:
-    payload = json.dumps({
-        "records": [dataclasses.asdict(record)
-                    for record in result.metrics.all_records],
-        "summary": result.summary(),
-    }, sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def test_sharded_scenario_run_merges_exactly():
-    # Serial shards vs pooled shards of a scenario config (tenants and
-    # faults split included) must agree byte-for-byte.
-    profile = dataclasses.replace(
-        SMOKE, label="tiny", warmup_ms=500.0, duration_ms=2_000.0,
-        drain_ms=1_000.0, n_items=200, oracle_samples=50)
-    config = build_config(get_scenario("mixed_tenants"),
-                          Arm("dynamic", "classic"), profile, seed=1)
-    serial = run_sharded(config, 2, processes=1)
-    pool = WorkerPool(2, oversubscribe=True)
-    try:
-        pooled = run_sharded(config, 2, pool=pool)
-    finally:
-        pool.close()
-    assert _result_digest(serial) == _result_digest(pooled)
 
 
 # ---------------------------------------------------------------- CLI
